@@ -41,8 +41,8 @@ let report_obs ~metrics ~trace (tracks : (string * Obs.Registry.t) list) =
         1)
 
 let run_generate file target backend max_tests max_paths seed strategy fixed_size
-    no_constraints no_random unroll seq_packets solver_knobs parallel_knobs out_file
-    validate print_tests metrics trace verbose =
+    no_constraints no_random unroll seq_packets path_jobs out_file validate print_tests
+    metrics trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -68,9 +68,13 @@ let run_generate file target backend max_tests max_paths seed strategy fixed_siz
             }
           in
           let config =
-            parallel_knobs
-              (solver_knobs
-                 { Testgen.Explore.default_config with max_tests; max_paths; strategy })
+            {
+              Testgen.Explore.default_config with
+              max_tests;
+              max_paths;
+              strategy;
+              path_jobs;
+            }
           in
           match Testgen.Oracle.generate ~opts ~config tgt source with
           | exception Testgen.Runtime.Exec_error msg ->
@@ -219,146 +223,28 @@ let trace =
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging")
 
-(* solver tuning knobs, folded into the exploration config as a
-   transformer so both subcommands share them *)
-let solver_knobs =
-  let no_phase_saving =
-    Arg.(
-      value & flag
-      & info [ "no-phase-saving" ]
-          ~doc:"SAT: do not reuse the last assigned polarity when branching")
-  in
-  let no_target_phase =
-    Arg.(
-      value & flag
-      & info [ "no-target-phase" ]
-          ~doc:"SAT: do not replay the last model's polarities in later solves")
-  in
-  let no_reduce_db =
-    Arg.(
-      value & flag
-      & info [ "no-reduce-db" ] ~doc:"SAT: never delete learnt clauses (keep them all)")
-  in
-  let no_minimise =
-    Arg.(
-      value & flag
-      & info [ "no-minimise" ]
-          ~doc:"SAT: skip recursive self-subsumption minimisation of learnt clauses")
-  in
-  let no_rewrite =
-    Arg.(
-      value & flag
-      & info [ "no-rewrite" ]
-          ~doc:"Skip the word-level rewrite pass applied to terms before bit-blasting")
-  in
-  let rebuild_threshold =
-    Arg.(
-      value & opt (some int) None
-      & info [ "rebuild-threshold" ] ~docv:"VARS"
-          ~doc:
-            "Rebuild the incremental solver once it holds more than $(docv) SAT \
-             variables (dead circuits from popped scopes dominate past this point)")
-  in
-  let no_query_cache =
-    Arg.(
-      value & flag
-      & info [ "no-query-cache" ]
-          ~doc:
-            "Disable the branch-feasibility query cache (independence slicing, \
-             model reuse, UNSAT-slice memoisation).  Emitted tests are \
-             bit-identical either way; only the number of solver calls changes")
-  in
-  let qcache_slots =
-    Arg.(
-      value & opt (some int) None
-      & info [ "qcache-slots" ] ~docv:"N"
-          ~doc:
-            "Capacity of each query-cache digest-set ring (default 512); \
-             bounds the memory the cache may hold")
-  in
-  let apply nps ntp nrdb nmin nrw rth nqc qslots config =
-    let sat_options =
-      {
-        Smt.Sat.default_options with
-        Smt.Sat.o_phase_saving = not nps;
-        o_target_phase = not ntp;
-        o_reduce_db = not nrdb;
-        o_minimise = not nmin;
-      }
-    in
-    {
-      config with
-      Testgen.Explore.sat_options;
-      word_rewrite = not nrw;
-      rebuild_size_threshold =
-        Option.value rth ~default:config.Testgen.Explore.rebuild_size_threshold;
-      query_cache = not nqc;
-      qcache_slots =
-        Option.value qslots ~default:config.Testgen.Explore.qcache_slots;
-    }
-  in
-  Term.(
-    const apply $ no_phase_saving $ no_target_phase $ no_reduce_db $ no_minimise
-    $ no_rewrite $ rebuild_threshold $ no_query_cache $ qcache_slots)
-
-(* intra-program parallelism knobs, same transformer pattern *)
-let parallel_knobs =
-  let path_jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "path-jobs" ] ~docv:"N"
-          ~doc:
-            "Explore path subtrees of each program on $(docv) worker domains \
-             (frontier-split driver).  0 (the default) keeps the classic \
-             sequential DFS; any N >= 1 produces bit-identical tests, so \
-             $(b,--path-jobs 1) is the reference for higher values.  Composes \
-             with $(b,--jobs) in batch mode through one shared domain budget")
-  in
-  let split_tasks =
-    Arg.(
-      value
-      & opt int Testgen.Explore.default_config.Testgen.Explore.split_tasks
-      & info [ "split-tasks" ] ~docv:"T"
-          ~doc:
-            "Target number of subtree tasks the adaptive splitter prepares \
-             for $(b,--path-jobs) workers: the heaviest task is split one \
-             fork level deeper until $(docv) tasks exist (more = finer \
-             load balancing, slightly more per-task overhead)")
-  in
-  let snapshot_max_bytes =
-    Arg.(
-      value
-      & opt int
-          Testgen.Explore.default_config.Testgen.Explore.snapshot_max_bytes
-      & info
-          [ "snapshot-max-bytes" ]
-          ~docv:"B"
-          ~doc:
-            "Estimated term weight above which a subtree task is started by \
-             replaying its branch prefix instead of importing a state \
-             snapshot (0 forces replay for every task)")
-  in
-  let apply pj st sb config =
-    {
-      config with
-      Testgen.Explore.path_jobs = pj;
-      split_tasks = st;
-      snapshot_max_bytes = sb;
-    }
-  in
-  Term.(const apply $ path_jobs $ split_tasks $ snapshot_max_bytes)
+let path_jobs =
+  Arg.(
+    value & opt int 0
+    & info [ "path-jobs" ] ~docv:"N"
+        ~doc:
+          "Explore path subtrees of each program on $(docv) worker domains \
+           (frontier-split driver).  0 (the default) keeps the classic \
+           sequential DFS; any N >= 1 produces bit-identical tests, so \
+           $(b,--path-jobs 1) is the reference for higher values.  Composes \
+           with $(b,--jobs) in batch mode through one shared domain budget")
 
 let generate_t =
   Term.(
     const run_generate $ file $ target $ backend $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ solver_knobs
-    $ parallel_knobs $ out_file $ validate $ print_tests $ metrics $ trace $ verbose)
+    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ path_jobs
+    $ out_file $ validate $ print_tests $ metrics $ trace $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* batch: many programs across domains *)
 
 let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_constraints
-    no_random unroll seq_packets solver_knobs parallel_knobs metrics trace verbose =
+    no_random unroll seq_packets path_jobs metrics trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -378,9 +264,7 @@ let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_
         }
       in
       let config =
-        parallel_knobs
-          (solver_knobs
-             { Testgen.Explore.default_config with max_tests; max_paths; strategy })
+        { Testgen.Explore.default_config with max_tests; max_paths; strategy; path_jobs }
       in
       let js =
         List.map
@@ -443,8 +327,8 @@ let jobs =
 let batch_t =
   Term.(
     const run_batch $ batch_files $ target $ jobs $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ solver_knobs
-    $ parallel_knobs $ metrics $ trace $ verbose)
+    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ path_jobs
+    $ metrics $ trace $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* selftest: the differential fuzzing campaign (§7/§8) *)

@@ -21,17 +21,13 @@
      re-executing a prefix — plus the branch-choice prefix that
      reaches it and the path conditions accumulated along the way.
 
-     Workers start a task from a *snapshot*, not a replay: the
-     task's state is imported into a private [Expr.clone_ctx] term
-     context (tag/vid-preserving, so pre-fork hash-consed terms are
-     reused rather than re-interned) and the splitter's solver is
+     Every task starts from a *snapshot*: the task's state is
+     imported into a private [Expr.clone_ctx] term context
+     (tag/vid-preserving, so pre-fork hash-consed terms are reused
+     rather than re-interned) and the splitter's solver is
      [Solver.clone]d — clause database, learnt clauses, phase state,
      and blaster caches included — then the task's path conditions
-     are asserted as the clone's base.  A task whose estimated
-     snapshot weight exceeds [snapshot_max_bytes] falls back to the
-     PR-4-style prefix replay into a fresh instance (the [fresh]
-     hook), which keeps the replayable-prefix story available for
-     checkpointing and sharding.
+     are asserted as the clone's base.
 
      The splitter runs to completion before any worker starts, and
      every task clones from the same frozen splitter-final
@@ -54,42 +50,10 @@ type config = {
   max_paths : int option;
   strategy : strategy;
   stop_at_full_coverage : bool;
-  rebuild_size_threshold : int;
-      (** SAT variables a solver may accumulate before it is eligible
-          for a rebuild (dead variables from popped scopes dominate
-          past this point) *)
-  rebuild_max_spine : int;
-      (** rebuild only when the DFS spine is at most this deep, so the
-          fresh solver re-asserts few scopes *)
-  sat_options : Smt.Sat.options;
-      (** CDCL tuning (phase saving, target phases, learnt-database
-          reduction, clause minimisation) for every solver of the run *)
-  word_rewrite : bool;
-      (** run {!Smt.Expr.simplify} on asserted terms before blasting *)
   path_jobs : int;
       (** 0 = classic sequential DFS; N >= 1 = frontier-split driver
           with N worker domains (capped by the shared domain pool and
           by the host's recommended domain count) *)
-  split_tasks : int;
-      (** adaptive-splitter frontier target: the splitter refines the
-          heaviest task one fork level deeper until this many subtree
-          tasks exist (frontier driver only; <= 1 disables splitting
-          and runs the whole tree as one task) *)
-  snapshot_max_bytes : int;
-      (** estimated term weight above which a task is started by
-          replaying its branch prefix into a fresh instance instead of
-          importing a snapshot (0 forces replay for every task) *)
-  query_cache : bool;
-      (** consult the {!Smt.Qcache} independence-slicing cache before
-          paying for a branch-feasibility solver check.  Cache
-          verdicts agree with the solver, so the explored tree and
-          the emitted tests are identical either way — only the cost
-          changes.  Test-emission models always come from real solver
-          calls on the emission solver, whose history is independent
-          of this flag. *)
-  qcache_slots : int;
-      (** bound on each of the query cache's SAT/UNSAT digest-set
-          rings *)
   qcache_store : Smt.Qcache.store option;
       (** cross-run digest-set store (the serve daemon passes the
           prepared oracle's store so cache facts survive between
@@ -106,10 +70,31 @@ type config = {
           from the callback abort the run. *)
   deadline : float option;
       (** absolute {!Obs.Clock.now} time after which exploration stops
-          gracefully (checked at path granularity, like the budget
-          caps): tests emitted so far are kept.  A run cut by its
-          deadline is time-dependent, so determinism guarantees only
-          hold for runs that finish before it. *)
+          gracefully (checked before every symbolic step and between
+          splitter refinements): tests emitted so far are kept.  A run
+          cut by its deadline is time-dependent, so determinism
+          guarantees only hold for runs that finish before it. *)
+  (* The three fields below are test/bench-only: the CLI and the
+     daemon always run with their defaults. *)
+  rebuild_size_threshold : int;
+      (** SAT variables a solver may accumulate before it is eligible
+          for a rebuild (dead variables from popped scopes dominate
+          past this point); tests shrink it to force rebuilds *)
+  split_tasks : int;
+      (** adaptive-splitter frontier target: the splitter refines the
+          heaviest task one fork level deeper until this many subtree
+          tasks exist (frontier driver only; <= 1 disables splitting
+          and runs the whole tree as one task); tests shrink it to
+          force small frontiers *)
+  query_cache : bool;
+      (** consult the {!Smt.Qcache} independence-slicing cache before
+          paying for a branch-feasibility solver check.  Cache
+          verdicts agree with the solver, so the explored tree and
+          the emitted tests are identical either way — only the cost
+          changes.  Test-emission models always come from real solver
+          calls on the emission solver, whose history is independent
+          of this flag; [false] is the bit-identity reference of the
+          qcache tests and [bench qcache]. *)
 }
 
 let default_config =
@@ -118,18 +103,13 @@ let default_config =
     max_paths = None;
     strategy = Dfs;
     stop_at_full_coverage = false;
-    rebuild_size_threshold = 4000;
-    rebuild_max_spine = 8;
-    sat_options = Smt.Sat.default_options;
-    word_rewrite = true;
     path_jobs = 0;
-    split_tasks = 32;
-    snapshot_max_bytes = 32_000_000;
-    query_cache = true;
-    qcache_slots = 512;
     qcache_store = None;
     on_test = None;
     deadline = None;
+    rebuild_size_threshold = 4000;
+    split_tasks = 32;
+    query_cache = true;
   }
 
 (* A read-out of the run's metrics.  The source of truth is the
@@ -166,20 +146,6 @@ type result = {
           counts) for trace export; empty for the sequential driver *)
 }
 
-let empty_stats () =
-  {
-    paths = 0;
-    tests = 0;
-    infeasible = 0;
-    abandoned = 0;
-    discarded_taint = 0;
-    discarded_concolic = 0;
-    t_step = 0.0;
-    t_emit = 0.0;
-    t_emit_solve = 0.0;
-    solver_checks = 0;
-  }
-
 (* the façade: project a (delta) snapshot of the run's registry onto
    the historical stats record *)
 let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
@@ -196,20 +162,6 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     t_emit_solve = f "explore.t_emit_solve";
     solver_checks = i "solver.checks";
   }
-
-(* accumulate [s] into [acc] (kept for callers that merge stats
-   records directly; the batch driver merges registry snapshots) *)
-let add_stats acc (s : stats) =
-  acc.paths <- acc.paths + s.paths;
-  acc.tests <- acc.tests + s.tests;
-  acc.infeasible <- acc.infeasible + s.infeasible;
-  acc.abandoned <- acc.abandoned + s.abandoned;
-  acc.discarded_taint <- acc.discarded_taint + s.discarded_taint;
-  acc.discarded_concolic <- acc.discarded_concolic + s.discarded_concolic;
-  acc.t_step <- acc.t_step +. s.t_step;
-  acc.t_emit <- acc.t_emit +. s.t_emit;
-  acc.t_emit_solve <- acc.t_emit_solve +. s.t_emit_solve;
-  acc.solver_checks <- acc.solver_checks + s.solver_checks
 
 (* ------------------------------------------------------------------ *)
 (* Coverage export hook (corpus admission, ROADMAP item 3).
@@ -393,7 +345,7 @@ let port_tainted st =
    the next one (the target-installed hook archives the finished
    packet and re-initialises the pipeline over the persisting extern
    state).  This is an implicit step — it consumes no fork choice — so
-   recorded branch prefixes replay across boundaries unchanged. *)
+   branch-choice prefixes are unaffected by packet boundaries. *)
 let seq_boundary (ctx : ctx) (st : state) : state option =
   if st.seq_left > 0 then Some (ctx.next_packet_hook ctx st) else None
 
@@ -404,7 +356,8 @@ let seq_boundary (ctx : ctx) (st : state) : state option =
    solver (rebuilt when it accumulates dead variables), the spine of
    active assertions, and the accumulated tests.  The sequential
    driver runs one engine over the whole tree; the frontier driver
-   runs one per task, seeded with the replayed prefix as [e_base]. *)
+   runs one per task, seeded with the task's imported prefix
+   conditions as [e_base]. *)
 
 type cells = {
   c_paths : Obs.Counter.t;
@@ -457,13 +410,14 @@ type engine = {
          (including the condition under test) and answers the branch
          feasibility checks the query cache cannot *)
   e_qc : Smt.Qcache.t option;
-      (* branch-feasibility query cache; [None] = --no-query-cache *)
+      (* branch-feasibility query cache; [None] when
+         [config.query_cache] is off *)
   e_spine : Expr.t list ref;
       (* the DFS spine's active assertions, innermost first, mirroring
          the solver's scope stack; lets us rebuild a fresh solver when
          the old one has accumulated too many dead variables *)
   e_base : Expr.t list;
-      (* base-scope assertions (the replayed prefix conditions),
+      (* base-scope assertions (the task's prefix conditions),
          re-asserted into every rebuilt solver before the spine *)
   mutable e_tests : Testspec.t list;  (* newest first *)
   mutable e_covered : IntSet.t;
@@ -475,11 +429,8 @@ type engine = {
   e_extra_check : unit -> unit;  (* frontier: global-cut abort hook *)
 }
 
-let new_solver (ctx : ctx) (cfg : config) base =
-  let s =
-    Solver.create ~obs:ctx.obs ~sat_options:cfg.sat_options
-      ~simplify:cfg.word_rewrite ctx.ectx
-  in
+let new_solver (ctx : ctx) base =
+  let s = Solver.create ~obs:ctx.obs ctx.ectx in
   List.iter (Solver.assert_ s) base;
   s
 
@@ -498,8 +449,7 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
         match qc with
         | Some q -> q
         | None ->
-            Smt.Qcache.create ~obs:ctx.obs ~slots:cfg.qcache_slots
-              ?store:cfg.qcache_store ()
+            Smt.Qcache.create ~obs:ctx.obs ?store:cfg.qcache_store ()
       in
       List.iter (Smt.Qcache.assert_base q) base;
       Some q
@@ -510,9 +460,9 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
     e_cfg = cfg;
     e_cells = cells;
     e_solver =
-      ref (match solver with Some s -> s | None -> new_solver ctx cfg base);
+      ref (match solver with Some s -> s | None -> new_solver ctx base);
     e_probe =
-      ref (match probe with Some s -> s | None -> new_solver ctx cfg base);
+      ref (match probe with Some s -> s | None -> new_solver ctx base);
     e_qc;
     e_spine = ref [];
     e_base = base;
@@ -524,19 +474,23 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
     e_extra_check = extra_check;
   }
 
+(* rebuild only when the DFS spine is at most this deep, so the fresh
+   solver re-asserts few scopes *)
+let rebuild_spine_limit = 8
+
 (* both solvers are eligible at the same spine depths (each one's
    scope stack mirrors the spine whenever this runs), but each
    rebuilds on its own size: the probe blasts every candidate branch
    and outgrows the emission solver *)
 let maybe_rebuild eng =
-  if List.length !(eng.e_spine) <= eng.e_cfg.rebuild_max_spine then begin
+  if List.length !(eng.e_spine) <= rebuild_spine_limit then begin
     let rebuild_one sref =
       if Solver.size !sref > eng.e_cfg.rebuild_size_threshold then begin
         (* retire the old solver: push its residual counter activity
            into the registry before it becomes unreachable *)
         Solver.flush_stats !sref;
         Obs.Counter.incr eng.e_cells.c_rebuilds;
-        let s = new_solver eng.e_ctx eng.e_cfg eng.e_base in
+        let s = new_solver eng.e_ctx eng.e_base in
         List.iter
           (fun c ->
             Solver.push s;
@@ -562,10 +516,10 @@ let check_budget eng =
     && eng.e_ctx.nstmts > 0
     && IntSet.cardinal eng.e_covered >= eng.e_ctx.nstmts
   then raise Stop;
-  (match eng.e_cfg.deadline with
-  | Some d when Obs.Clock.now () > d -> raise Stop
-  | _ -> ());
   eng.e_extra_check ()
+
+let past_deadline (cfg : config) =
+  match cfg.deadline with Some d -> Obs.Clock.now () > d | None -> false
 
 let finish eng st =
   let reg = eng.e_ctx.obs in
@@ -611,10 +565,11 @@ let finish eng st =
         (Obs.Timer.value eng.e_cells.tm_solve -. solve0));
   check_budget eng
 
-(* branch ordering, tagged with each branch's original index so forks
-   record replayable choices.  Rnd keys are 63-bit so key collisions
-   (which would leave tie order to List.sort internals rather than the
-   seed) are out of the picture even on wide branch lists. *)
+(* branch ordering, tagged with each branch's original index so a
+   task's prefix names choices independently of the order.  Rnd keys
+   are 63-bit so key collisions (which would leave tie order to
+   List.sort internals rather than the seed) are out of the picture
+   even on wide branch lists. *)
 let order eng branches =
   let idx = List.mapi (fun i b -> (i, b)) branches in
   match eng.e_cfg.strategy with
@@ -634,8 +589,11 @@ let order eng branches =
    splitter: it emits (prefix, at_leaf, state) instead of descending
    past [limit] fork choices, and emits completed shallow paths as
    single-path tasks instead of building their tests — so the merge
-   alone decides test and path accounting. *)
+   alone decides test and path accounting.  The deadline is checked
+   before every step, so no branch — feasible, pruned or abandoned —
+   runs past it. *)
 let rec dfs eng ~split depth pref st =
+  if past_deadline eng.e_cfg then raise Stop;
   let t0 = Obs.Clock.now () in
   let stepped =
     try Step.step eng.e_ctx st
@@ -745,104 +703,26 @@ let rec dfs eng ~split depth pref st =
         (order eng branches)
 
 (* ------------------------------------------------------------------ *)
-(* Prefix replay
+(* Sequential driver (path_jobs = 0)
 
-   Walks [prefix] (original branch indices at forks) from [st0],
-   re-taking every implicit step; [assert_cond] receives each path
-   condition along the way (the frontier worker asserts them at the
-   solver's base scope).  Stops after the last recorded choice: the
-   chain below it is the task's subtree. *)
+   Each driver returns its tests (in final order), coverage and
+   per-worker registries; [run] does the bookkeeping they share. *)
 
-let prefix_to_string p = String.concat "." (List.map string_of_int p)
-
-let replay ctx cells c_rsteps ~assert_cond prefix st0 =
-  let nchoices = List.length prefix in
-  let diverged remaining =
-    fail
-      "prefix replay diverged from the recorded path at choice depth %d \
-       (prefix %s)"
-      (nchoices - List.length remaining)
-      (prefix_to_string prefix)
-  in
-  let follow pref b =
-    match b.br_cond with
-    | None -> (pref, b.br_state)
-    | Some c when Expr.is_true c -> (pref, b.br_state)
-    | Some c ->
-        assert_cond c;
-        (pref, add_cond c b.br_state)
-  in
-  let rec walk pref st =
-    match pref with
-    | [] -> st
-    | i :: rest -> (
-        let t0 = Obs.Clock.now () in
-        let stepped = Step.step ctx st in
-        Obs.Timer.add cells.tm_step (Obs.Clock.now () -. t0);
-        Obs.Counter.incr c_rsteps;
-        match stepped with
-        | None -> (
-            (* boundaries are implicit during replay too *)
-            match seq_boundary ctx st with
-            | Some st' -> walk pref st'
-            | None -> diverged pref)
-        | Some [] -> diverged pref
-        | Some [ { br_cond = None; br_state; _ } ] -> walk pref br_state
-        | Some [ b ] ->
-            (* single conditional branch: implicit, not a recorded
-               choice (feasibility was proven by the splitter) *)
-            let pref, st = follow pref b in
-            walk pref st
-        | Some branches ->
-            let b = try List.nth branches i with _ -> diverged pref in
-            let _, st = follow rest b in
-            walk rest st)
-  in
-  walk prefix st0
-
-(* ------------------------------------------------------------------ *)
-(* Sequential driver (path_jobs = 0) *)
-
-let run_seq (config : config) (ctx : ctx) (st0 : state) : result =
-  let reg = ctx.obs in
-  (* the run reports deltas against this baseline, so a registry that
-     already carries earlier runs (same prepared context) stays sound *)
-  let snap0 = Obs.Registry.snapshot reg in
-  let t_start = Obs.Clock.now () in
-  let tm_total = Obs.Registry.timer reg "explore.total_time" in
+let run_seq (config : config) (ctx : ctx) (st0 : state) =
   let eng = make_engine ctx config in
-  let sp_explore = Obs.Span.enter reg "explore" in
   (try dfs eng ~split:None 0 [] st0 with Stop -> ());
   Solver.flush_stats !(eng.e_solver);
   Solver.flush_stats !(eng.e_probe);
   (match eng.e_qc with Some q -> Smt.Qcache.publish q | None -> ());
-  let n_seq =
-    List.fold_left
-      (fun k t -> if Testspec.is_sequence t then k + 1 else k)
-      0 eng.e_tests
-  in
-  if n_seq > 0 then
-    Obs.Counter.add (Obs.Registry.counter reg "explore.sequence_tests") n_seq;
-  Obs.Span.exit reg sp_explore;
-  let total = Obs.Clock.now () -. t_start in
-  Obs.Timer.add tm_total total;
-  let d = Obs.Snapshot.diff (Obs.Registry.snapshot reg) snap0 in
-  {
-    tests = List.rev eng.e_tests;
-    covered = eng.e_covered;
-    total_stmts = ctx.nstmts;
-    stats = stats_of_snapshot d;
-    solve_time = Obs.Snapshot.get_float d "solver.time";
-    total_time = total;
-    obs = d;
-    workers = [];
-  }
+  (List.rev eng.e_tests, eng.e_covered, [])
 
 (* ------------------------------------------------------------------ *)
 (* Frontier driver (path_jobs >= 1) *)
 
 exception Abort
 (* raised inside a worker task when the global cut has passed it *)
+
+let prefix_to_string p = String.concat "." (List.map string_of_int p)
 
 type task_result = {
   tr_tests : Testspec.t list;  (* in subtree DFS order *)
@@ -909,17 +789,17 @@ let budget_reached config ~nstmts ~ntests ~npaths ~cov =
    replacing it in place (preserving DFS merge order) with the fork's
    feasible children.  Refinement continues from captured states — a
    prefix is never re-executed — and stops when the frontier reaches
-   the target width, every task is a completed path, or the refinement
-   depth bound is hit.  The target is a pure function of the config,
-   never of [path_jobs] or the host, so the split — and with it every
-   downstream count — is identical for every worker count. *)
+   the target width, every task is a completed path, the refinement
+   depth bound is hit, or the deadline passes.  The target is a pure
+   function of the config, never of [path_jobs] or the host, so the
+   split — and with it every downstream count — is identical for
+   every worker count. *)
 
 type stask = {
   sk_prefix : int list;  (** branch choices from [st0], oldest first *)
   sk_state : state;  (** captured subtree root (splitter's term ctx) *)
   sk_leaf : bool;  (** a completed path: nothing to explore below *)
   sk_cost : int;  (** remaining-work estimate (continuation depth) *)
-  sk_bytes : int;  (** estimated snapshot weight, for the replay gate *)
 }
 
 (* prefixes longer than this stop being refined: deeper tasks are
@@ -935,7 +815,6 @@ let split_frontier (config : config) (ctx : ctx) (st0 : state) :
       sk_state = st;
       sk_leaf = leaf;
       sk_cost = List.length st.work;
-      sk_bytes = state_term_bytes st;
     }
   in
   let n0 = List.length st0.path_cond in
@@ -998,7 +877,12 @@ let split_frontier (config : config) (ctx : ctx) (st0 : state) :
      a leaf, so the loop terminates even without the round bound *)
   let rounds = ref 0 in
   let continue_ = ref true in
-  while !continue_ && List.length !tasks < target && !rounds < 4 * target do
+  while
+    !continue_
+    && List.length !tasks < target
+    && !rounds < 4 * target
+    && not (past_deadline config)
+  do
     incr rounds;
     match heaviest () with
     | None -> continue_ := false
@@ -1009,13 +893,9 @@ let split_frontier (config : config) (ctx : ctx) (st0 : state) :
   done;
   (seng, !tasks)
 
-let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
+let run_frontier (config : config) (ctx : ctx) (st0 : state) =
   let reg = ctx.obs in
-  let snap0 = Obs.Registry.snapshot reg in
-  let t_start = Obs.Clock.now () in
-  let tm_total = Obs.Registry.timer reg "explore.total_time" in
   let c_subtrees = Obs.Registry.counter reg "explore.subtrees" in
-  let sp_explore = Obs.Span.enter reg "explore" in
 
   (* phase 1 — adaptive split on the caller's context/solver, pruning
      infeasible branches as it goes; every task roots a feasible
@@ -1154,64 +1034,34 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
              ]
            "subtree"
            (fun () ->
-             (* start the task from a snapshot when its term weight
-                allows, from a prefix replay into a fresh instance
-                otherwise.  The choice is a pure function of the task,
-                so it cannot differ across worker counts. *)
-             let tctx, base, st =
-               if task.sk_bytes <= config.snapshot_max_bytes then begin
-                 Obs.Counter.incr
-                   (Obs.Registry.counter treg "explore.snapshot_restores");
-                 Obs.Gauge.set_max
-                   (Obs.Registry.gauge treg "explore.snapshot_bytes")
-                   task.sk_bytes;
-                 let tm_restore =
-                   Obs.Registry.timer treg "explore.t_snapshot_restore"
-                 in
-                 let t0 = Obs.Clock.now () in
-                 Obs.Span.with_ wreg "snapshot_restore" (fun () ->
-                     (* import the captured root into a private clone of
-                        the splitter's term context, then warm-clone the
-                        splitter's solver: imported terms keep their
-                        tags, so the cloned blaster's caches — and the
-                        cloned CDCL core's learnt clauses — apply
-                        as-is *)
-                     let ectx = Expr.clone_ctx ctx.ectx in
-                     let imp = Expr.importer ectx in
-                     let tctx =
-                       clone_ctx_for_task ctx ~ectx ~obs:treg
-                         ~rng:(Random.State.make [| ctx.opts.seed |])
-                     in
-                     let st = map_terms imp task.sk_state in
-                     let base = List.map imp (conds_since n0 task.sk_state) in
-                     let solver = Solver.clone ~obs:treg ~ectx parent_solver in
-                     List.iter (Solver.assert_ solver) base;
-                     let probe = Solver.clone ~obs:treg ~ectx parent_probe in
-                     List.iter (Solver.assert_ probe) base;
-                     Obs.Timer.add tm_restore (Obs.Clock.now () -. t0);
-                     (tctx, `Warm (solver, probe, base), st))
-               end
-               else begin
-                 Obs.Counter.incr
-                   (Obs.Registry.counter treg "explore.replay_fallbacks");
-                 let tm_replay = Obs.Registry.timer treg "explore.t_replay" in
-                 let tcells = make_cells treg in
-                 let c_rsteps =
-                   Obs.Registry.counter treg "explore.replay_steps"
-                 in
-                 let t0 = Obs.Clock.now () in
-                 Obs.Span.with_ wreg "replay" (fun () ->
-                     let tctx, tst0 = fresh treg in
-                     let acc = ref [] in
-                     let st =
-                       replay tctx tcells c_rsteps
-                         ~assert_cond:(fun c -> acc := c :: !acc)
-                         task.sk_prefix tst0
-                     in
-                     Obs.Timer.add tm_replay (Obs.Clock.now () -. t0);
-                     (tctx, `Cold (List.rev !acc), st))
-               end
+             (* import the captured root into a private clone of the
+                splitter's term context, then warm-clone the splitter's
+                solvers: imported terms keep their tags, so the cloned
+                blaster's caches — and the cloned CDCL core's learnt
+                clauses — apply as-is *)
+             Obs.Counter.incr
+               (Obs.Registry.counter treg "explore.snapshot_restores");
+             let tm_restore =
+               Obs.Registry.timer treg "explore.t_snapshot_restore"
              in
+             let t0 = Obs.Clock.now () in
+             let tctx, st, base, solver, probe =
+               Obs.Span.with_ wreg "snapshot_restore" (fun () ->
+                   let ectx = Expr.clone_ctx ctx.ectx in
+                   let imp = Expr.importer ectx in
+                   let tctx =
+                     clone_ctx_for_task ctx ~ectx ~obs:treg
+                       ~rng:(Random.State.make [| ctx.opts.seed |])
+                   in
+                   let st = map_terms imp task.sk_state in
+                   let base = List.map imp (conds_since n0 task.sk_state) in
+                   let solver = Solver.clone ~obs:treg ~ectx parent_solver in
+                   List.iter (Solver.assert_ solver) base;
+                   let probe = Solver.clone ~obs:treg ~ectx parent_probe in
+                   List.iter (Solver.assert_ probe) base;
+                   (tctx, st, base, solver, probe))
+             in
+             Obs.Timer.add tm_restore (Obs.Clock.now () -. t0);
              (* the abort hook closes over the engine to read its
                 emission count, so tie the knot through a cell *)
              let eng_cell = ref None in
@@ -1243,27 +1093,21 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
                | None -> None
              in
              let eng =
-               match base with
-               | `Warm (solver, probe, base) ->
-                   make_engine ~base ~solver ~probe ?qc ~count_tests:false
-                     ~extra_check tctx config
-               | `Cold base ->
-                   make_engine ~base ?qc ~count_tests:false ~extra_check tctx
-                     config
+               make_engine ~base ~solver ~probe ?qc ~count_tests:false
+                 ~extra_check tctx config
              in
              eng_cell := Some eng;
              (* seed the model cache: the splitter proved the prefix
                 feasible, so this check cannot return Unsat, and it
                 gives the probe a model that satisfies the base — a
                 warm clone's inherited model need not *)
-             (match base with
-             | `Warm (_, _, []) | `Cold [] -> ()
-             | _ ->
-                 ignore (Solver.check !(eng.e_probe));
-                 (match eng.e_qc with
-                 | Some q ->
-                     Smt.Qcache.note_model q (Solver.capture_model !(eng.e_probe))
-                 | None -> ()));
+             if base <> [] then begin
+               ignore (Solver.check !(eng.e_probe));
+               match eng.e_qc with
+               | Some q ->
+                   Smt.Qcache.note_model q (Solver.capture_model !(eng.e_probe))
+               | None -> ()
+             end;
              (try dfs eng ~split:None 0 [] st with Stop -> ());
              Solver.flush_stats !(eng.e_solver);
              Solver.flush_stats !(eng.e_probe);
@@ -1288,9 +1132,7 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
                  (prefix_to_string tasks.(i).sk_prefix)
                  (Printexc.to_string e));
            slots.(i) <- Dropped);
-    Mutex.lock mu;
-    advance ();
-    Mutex.unlock mu
+    Mutex.protect mu advance
   in
   let worker w () =
     let wreg = wregs.(w) in
@@ -1307,9 +1149,16 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
         loop ())
   in
   let domains = List.init extra (fun k -> Domain.spawn (fun () -> worker (k + 1) ())) in
-  worker 0 ();
-  List.iter Domain.join domains;
+  (* an [on_test] callback may raise on any worker: join every domain
+     and return the pool's tokens before re-raising the first error *)
+  let outcome f = match f () with () -> None | exception e -> Some e in
+  let main = outcome (worker 0) in
+  let errors =
+    List.filter_map Fun.id
+      (main :: List.map (fun d -> outcome (fun () -> Domain.join d)) domains)
+  in
   Pool.release extra;
+  (match errors with e :: _ -> raise e | [] -> ());
   (match parent_qc with Some q -> Smt.Qcache.publish q | None -> ());
 
   (* phase 3 — deterministic merge: walk tasks in splitter order,
@@ -1372,26 +1221,38 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
   (* worker registries carry only scheduling-local activity (steal
      counts, spans); absorb the counters and expose the registries as
      trace tracks *)
-  let n_seq =
-    List.fold_left
-      (fun k t -> if Testspec.is_sequence t then k + 1 else k)
-      0 !merged_tests
-  in
-  if n_seq > 0 then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "explore.sequence_tests")
-      n_seq;
   Array.iter (fun w -> Obs.Registry.absorb reg (Obs.Registry.snapshot w)) wregs;
   let workers =
     Array.to_list (Array.mapi (fun w r -> (Printf.sprintf "path-worker-%d" w, r)) wregs)
   in
+  (List.rev !merged_tests, !merged_cov, workers)
+
+(* ------------------------------------------------------------------ *)
+(* Driver dispatch
+
+   The run reports deltas against a baseline snapshot, so a registry
+   that already carries earlier runs (same prepared context) stays
+   sound. *)
+
+let run ?(config = default_config) (ctx : ctx) (st0 : state) : result =
+  let reg = ctx.obs in
+  let snap0 = Obs.Registry.snapshot reg in
+  let t_start = Obs.Clock.now () in
+  let sp_explore = Obs.Span.enter reg "explore" in
+  let tests, covered, workers =
+    if config.path_jobs >= 1 then run_frontier config ctx st0
+    else run_seq config ctx st0
+  in
+  let n_seq = List.length (List.filter Testspec.is_sequence tests) in
+  if n_seq > 0 then
+    Obs.Counter.add (Obs.Registry.counter reg "explore.sequence_tests") n_seq;
   Obs.Span.exit reg sp_explore;
   let total = Obs.Clock.now () -. t_start in
-  Obs.Timer.add tm_total total;
+  Obs.Timer.add (Obs.Registry.timer reg "explore.total_time") total;
   let d = Obs.Snapshot.diff (Obs.Registry.snapshot reg) snap0 in
   {
-    tests = List.rev !merged_tests;
-    covered = !merged_cov;
+    tests;
+    covered;
     total_stmts = ctx.nstmts;
     stats = stats_of_snapshot d;
     solve_time = Obs.Snapshot.get_float d "solver.time";
@@ -1401,52 +1262,14 @@ let run_frontier ~fresh (config : config) (ctx : ctx) (st0 : state) : result =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Driver dispatch *)
+(* Test hook: the frontier the adaptive splitter would hand to
+   workers — every task's prefix and captured state (a subtree root,
+   or the leaf state of a completed shallow path), in the splitter's
+   term context *)
 
-let run ?(config = default_config) ?fresh (ctx : ctx) (st0 : state) : result =
-  match fresh with
-  | Some fresh when config.path_jobs >= 1 -> run_frontier ~fresh config ctx st0
-  | _ ->
-      if config.path_jobs >= 1 then
-        Logs.warn (fun m ->
-            m
-              "path_jobs=%d ignored: caller provided no fresh-instance hook; \
-               falling back to the sequential driver"
-              config.path_jobs);
-      run_seq config ctx st0
-
-(* ------------------------------------------------------------------ *)
-(* Test hooks: white-box access to the splitter and the replay, so the
-   suite can check that a replayed prefix reaches the frontier state
-   the splitter saw. *)
-
-(* a structural digest of an execution state, strong enough to
-   distinguish different program points and path conditions *)
-let fingerprint (st : state) =
-  Printf.sprintf
-    "trace=[%s] cov=[%s] pc=%d work=%d outs=%d entries=%d dropped=%b phase=%s"
-    (String.concat ">" (List.rev st.trace))
-    (String.concat "," (List.map string_of_int (IntSet.elements st.covered)))
-    (List.length st.path_cond) (List.length st.work) (List.length st.outputs)
-    (List.length st.entries) st.dropped st.phase
-
-(* the frontier the adaptive splitter would hand to workers: every
-   task's prefix, paired with the subtree root's fingerprint (None for
-   completed shallow paths, whose task state is the leaf, not the
-   replay target) *)
 let frontier ?(config = default_config) (ctx : ctx) (st0 : state) :
-    (int list * string option) list =
+    (int list * state) list =
   let eng, tasks = split_frontier config ctx st0 in
   Solver.flush_stats !(eng.e_solver);
   Solver.flush_stats !(eng.e_probe);
-  List.map
-    (fun t ->
-      (t.sk_prefix, if t.sk_leaf then None else Some (fingerprint t.sk_state)))
-    tasks
-
-(* solver-free prefix replay (path conditions are recorded in the
-   state but not asserted anywhere) *)
-let replay_prefix (ctx : ctx) (st0 : state) (prefix : int list) : state =
-  let cells = make_cells ctx.obs in
-  let c_rsteps = Obs.Registry.counter ctx.obs "explore.replay_steps" in
-  replay ctx cells c_rsteps ~assert_cond:(fun _ -> ()) prefix st0
+  List.map (fun t -> (t.sk_prefix, t.sk_state)) tasks

@@ -170,17 +170,18 @@ type run = { result : Explore.result; prepared : prepared }
 
 let registry (r : run) = r.prepared.ctx.Runtime.obs
 
-(* A fresh, independent replica of a prepared run for a worker domain:
-   its own term context and registry over the same (immutable, already
-   passed) program, re-initialised by the same target.  Because
-   [make_ctx] and [T.init] are deterministic, the replica's initial
-   state is structurally identical to [initial_state p].  The frontier
-   driver normally starts a subtree task from a snapshot of the
-   splitter's state; this replica is its replay *fallback* for tasks
-   whose snapshot would exceed [config.snapshot_max_bytes] — and the
-   soundness basis of prefix replay in general (checkpoint/shard). *)
-let instance ~opts (p : prepared) (reg : Obs.Registry.t) :
+(* [instantiate]: a request-scoped replica over the *cached* front-end
+   work — its own term context and registry over the same (immutable,
+   already passed) program, re-initialised by the same target.
+   Because [make_ctx] and [T.init] are deterministic, the replica's
+   initial state is structurally identical to [initial_state p].  It
+   takes its own options (a cached prepared value serves requests with
+   any seed/strategy/budget — the mid-end artifacts do not depend on
+   them, see [fingerprint]) and its own registry, so a daemon can
+   account each request separately. *)
+let instantiate ?(opts = Runtime.default_options) ?obs (p : prepared) :
     Runtime.ctx * Runtime.state =
+  let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
   let module T = (val p.target) in
   let ctx =
     Runtime.make_ctx ~opts ~obs:reg p.prog ~nstmts:p.ctx.Runtime.nstmts
@@ -192,20 +193,6 @@ let instance ~opts (p : prepared) (reg : Obs.Registry.t) :
     (fun ctx st -> T.init ctx (Runtime.next_packet ctx ~port_width:T.port_width st));
   let st = Runtime.initial_state ctx ~port_width:T.port_width in
   (ctx, T.init ctx st)
-
-let fresh_instance (p : prepared) (reg : Obs.Registry.t) :
-    Runtime.ctx * Runtime.state =
-  instance ~opts:p.ctx.Runtime.opts p reg
-
-(* [instantiate]: a request-scoped replica over the *cached* front-end
-   work.  Unlike [fresh_instance] it takes its own options (a cached
-   prepared value serves requests with any seed/strategy/budget — the
-   mid-end artifacts do not depend on them, see [fingerprint]) and its
-   own registry, so a daemon can account each request separately. *)
-let instantiate ?(opts = Runtime.default_options) ?obs (p : prepared) :
-    Runtime.ctx * Runtime.state =
-  let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  instance ~opts p reg
 
 (* route the prepared value's query-cache store into the exploration
    config unless the caller wired one explicitly: repeated runs over
@@ -219,9 +206,7 @@ let generate ?(opts = Runtime.default_options) ?(config = Explore.default_config
     (target : (module Target_intf.S)) (source : string) : run =
   let p = prepare ~opts target source in
   let st = initial_state p in
-  let result =
-    Explore.run ~config:(with_qstore p config) ~fresh:(fresh_instance p) p.ctx st
-  in
+  let result = Explore.run ~config:(with_qstore p config) p.ctx st in
   { result; prepared = p }
 
 (* End-to-end generation over an already-prepared program: phase 1 is
@@ -234,13 +219,8 @@ let generate ?(opts = Runtime.default_options) ?(config = Explore.default_config
    phase-1 cost. *)
 let explore_prepared ?(opts = Runtime.default_options)
     ?(config = Explore.default_config) ?obs (p : prepared) : run =
-  let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let ctx, st = instance ~opts p reg in
-  let result =
-    Explore.run ~config:(with_qstore p config)
-      ~fresh:(fun r -> instance ~opts p r)
-      ctx st
-  in
+  let ctx, st = instantiate ~opts ?obs p in
+  let result = Explore.run ~config:(with_qstore p config) ctx st in
   { result; prepared = { p with ctx; prep_time = 0.0 } }
 
 (* ------------------------------------------------------------------ *)

@@ -106,29 +106,21 @@ val registry : run -> Obs.Registry.t
     Export it with {!Obs.Trace.write_chrome} or print a
     {!Obs.Registry.snapshot}. *)
 
-val fresh_instance :
-  prepared -> Obs.Registry.t -> Runtime.ctx * Runtime.state
-(** [fresh_instance p reg] builds an independent replica of the
-    prepared run for a worker domain: a fresh term context reporting
-    into [reg], over the same already-passed program, re-initialised
-    by the same target.  Preparation is deterministic, so the replica's
-    initial state is structurally identical to [initial_state p] —
-    the soundness basis of {!Explore.run}'s prefix replay.  The
-    frontier driver starts subtree tasks from state snapshots and uses
-    this replica only as the replay fallback for tasks above
-    [config.Explore.snapshot_max_bytes]. *)
-
 val instantiate :
   ?opts:Runtime.options ->
   ?obs:Obs.Registry.t ->
   prepared ->
   Runtime.ctx * Runtime.state
-(** A request-scoped replica over the cached front-end work: like
-    {!fresh_instance}, but with caller-chosen options and registry.  A
-    cached [prepared] value serves requests with any seed, strategy or
-    budget — the mid-end artifacts do not depend on them (see
-    {!fingerprint}).  Safe to call concurrently from several domains
-    on the same [prepared]: only immutable preparation data is read. *)
+(** A request-scoped replica over the cached front-end work: a fresh
+    term context reporting into [obs], over the same already-passed
+    program, re-initialised by the same target with caller-chosen
+    options.  Preparation is deterministic, so the replica's initial
+    state is structurally identical to [initial_state p] under the
+    same options.  A cached [prepared] value serves requests with any
+    seed, strategy or budget — the mid-end artifacts do not depend on
+    them (see {!fingerprint}).  Safe to call concurrently from several
+    domains on the same [prepared]: only immutable preparation data is
+    read. *)
 
 val generate :
   ?opts:Runtime.options ->
@@ -138,9 +130,9 @@ val generate :
   run
 (** End-to-end test generation for a P4 source string.  When
     [config.Explore.path_jobs >= 1], path exploration itself runs on
-    worker domains ({!Explore.run}'s frontier driver, seeded with
-    {!fresh_instance}); the result is bit-identical for every
-    [path_jobs] value [>= 1]. *)
+    worker domains ({!Explore.run}'s frontier driver, which starts
+    every subtree task from a snapshot of the splitter's state); the
+    result is bit-identical for every [path_jobs] value [>= 1]. *)
 
 val explore_prepared :
   ?opts:Runtime.options ->

@@ -308,12 +308,6 @@ let initial_state ctx ~port_width =
 
 let continue_ st = [ { br_cond = None; br_state = st; br_label = "" } ]
 
-let branch2 ~if_true:(l1, s1) ~if_false:(l2, s2) cond =
-  [
-    { br_cond = Some cond; br_state = s1; br_label = l1 };
-    { br_cond = Some (Expr.bnot cond); br_state = s2; br_label = l2 };
-  ]
-
 let add_cond cond st = { st with path_cond = cond :: st.path_cond }
 let note msg st = { st with trace = msg :: st.trace }
 
@@ -533,7 +527,6 @@ let peek_bits ctx w st : take_result list =
     (take_bits ctx w st)
 
 let prepend_live bits st = { st with live = Expr.concat bits st.live }
-let append_live bits st = { st with live = Expr.concat st.live bits }
 
 let emit_bits bits st = { st with emit_buf = Expr.concat st.emit_buf bits }
 
@@ -735,18 +728,6 @@ let map_terms f st =
   }
 
 let iter_terms f st = ignore (map_terms (fun e -> f e; e) st)
-
-(* Rough in-heap size of the terms a state pins, for deciding whether
-   a snapshot is cheaper than a replay.  [Obj.reachable_words] is
-   useless here — every term physically embeds its context, whose
-   arena holds every term of the run — so we sum per-term DAG node
-   counts instead (shared structure across fields double-counts,
-   which errs toward replay; ~80 bytes is a term record plus its
-   arena bucket share). *)
-let state_term_bytes st =
-  let n = ref 0 in
-  iter_terms (fun e -> n := !n + Expr.size e) st;
-  80 * !n
 
 (* A context for a forked subtree task: shares the immutable
    program-wide data, takes the fork's own term context / metrics

@@ -111,17 +111,11 @@ let observe t ~src ~arch ~tags ~keys =
     true
   end
 
-(** Uniform draw of a mutation base (and optionally a distinct donor
-    for splicing).  Deterministic in [rng]. *)
+(** Uniform draw of a mutation base.  Deterministic in [rng]. *)
 let sample t (rng : Random.State.t) : entry option =
   match t.ring with
   | [] -> None
   | ring -> Some (List.nth ring (Random.State.int rng (List.length ring)))
-
-let sample_donor t (rng : Random.State.t) ~(base : entry) : entry option =
-  match List.filter (fun e -> e.id <> base.id) t.ring with
-  | [] -> None
-  | others -> Some (List.nth others (Random.State.int rng (List.length others)))
 
 (** Called by the campaign when a splice mutator actually drew from a
     donor entry. *)

@@ -28,8 +28,6 @@ type rng = Random.State.t
 let pick (st : rng) (xs : 'a list) =
   List.nth xs (Random.State.int st (List.length xs))
 
-let replace_nth i x xs = List.mapi (fun j y -> if j = i then x else y) xs
-
 (* ------------------------------------------------------------------ *)
 (* A generic traversal over every *mutable-constant* expression site.
 

@@ -81,12 +81,16 @@ let strategy_of_string = function
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* a dead client mid-stream is that client's problem, not the server's *)
-let send fd ev = try Wire.write_event fd ev with _ -> ()
+(* a dead client mid-stream is that client's problem, not the server's:
+   an I/O error on the write is counted and the stream goes on; any
+   other exception reaches the request's error path *)
+let send t fd ev =
+  try Wire.write_event fd ev
+  with Unix.Unix_error _ | Sys_error _ -> count t "serve.send_errors"
 
-let fail fd kind msg =
-  send fd (Wire.Error (kind, msg));
-  send fd Wire.End
+let fail t fd kind msg =
+  send t fd (Wire.Error (kind, msg));
+  send t fd Wire.End
 
 let bool_str b = if b then "true" else "false"
 
@@ -94,10 +98,10 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
   let module O = Testgen.Oracle in
   let t0 = Obs.Clock.now () in
   match Targets.Registry.find rq.rq_arch with
-  | None -> fail fd "protocol" ("unknown target " ^ rq.rq_arch)
+  | None -> fail t fd "protocol" ("unknown target " ^ rq.rq_arch)
   | Some target -> (
       match strategy_of_string rq.rq_strategy with
-      | None -> fail fd "protocol" ("unknown strategy " ^ rq.rq_strategy)
+      | None -> fail t fd "protocol" ("unknown strategy " ^ rq.rq_strategy)
       | Some strategy -> (
           let key =
             match rq.rq_key with
@@ -113,9 +117,9 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                     | Error e -> Error (`Prepare e)))
           in
           match key with
-          | Error (`Protocol msg) -> fail fd "protocol" msg
+          | Error (`Protocol msg) -> fail t fd "protocol" msg
           | Error (`Prepare e) ->
-              fail fd (O.prepare_error_kind e) (O.prepare_error_message e)
+              fail t fd (O.prepare_error_kind e) (O.prepare_error_message e)
           | Ok key -> (
               let rreg = Obs.Registry.create () in
               (* baseline of the daemon-wide serve.* registry: the
@@ -153,11 +157,11 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
               match prepared with
               | Error (`Unknown key) ->
                   count t "serve.errors";
-                  fail fd "unknown-fingerprint"
+                  fail t fd "unknown-fingerprint"
                     ("no cached oracle for " ^ key ^ "; resend with the source")
               | Error (`Prepare e) ->
                   count t "serve.errors";
-                  fail fd (O.prepare_error_kind e) (O.prepare_error_message e)
+                  fail t fd (O.prepare_error_kind e) (O.prepare_error_message e)
               | Ok (prepared, cache_hit, prep_seconds) -> (
                   let opts =
                     {
@@ -179,7 +183,7 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                   let nstreamed = ref 0 in
                   let on_test spec =
                     incr nstreamed;
-                    send fd
+                    send t fd
                       (Wire.Test (!nstreamed, Testgen.Testspec.to_string spec))
                   in
                   let config =
@@ -196,7 +200,7 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                   match O.explore_prepared ~opts ~config ~obs:rreg prepared with
                   | exception e ->
                       count t "serve.errors";
-                      fail fd "exec" (Printexc.to_string e)
+                      fail t fd "exec" (Printexc.to_string e)
                   | run ->
                       let result = run.O.result in
                       let tests = result.Testgen.Explore.tests in
@@ -205,11 +209,11 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                       | Some be_name -> (
                           match Backends.Registry.find be_name with
                           | None ->
-                              send fd
+                              send t fd
                                 (Wire.Error
                                    ("protocol", "unknown back end " ^ be_name))
                           | Some be ->
-                              send fd
+                              send t fd
                                 (Wire.File
                                    ( be_name,
                                      Backends.Registry.emit_observed ~obs:rreg
@@ -221,7 +225,7 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                         | Some d -> Obs.Clock.now () > d
                         | None -> false
                       in
-                      send fd
+                      send t fd
                         (Wire.Summary
                            [
                              ("tests", string_of_int (List.length tests));
@@ -237,13 +241,13 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                              ("fingerprint", key);
                              ("timed_out", bool_str timed_out);
                            ]);
-                      send fd
+                      send t fd
                         (Wire.Obs
                            (Obs.Snapshot.to_json
                               (Obs.Snapshot.merge
                                  (Obs.Registry.snapshot rreg)
                                  (Obs.Snapshot.diff (snapshot t) s0))));
-                      send fd Wire.End))))
+                      send t fd Wire.End))))
 
 let close_listener t =
   if not (Atomic.exchange t.listen_closed true) then close_quiet t.listen_fd
@@ -281,31 +285,31 @@ let handle_connection t (fd, admitted) =
             | None -> ()
             | Some payload -> (
                 match Wire.decode_request payload with
-                | Error msg -> fail fd "protocol" msg
+                | Error msg -> fail t fd "protocol" msg
                 | Ok rq -> (
                     match rq.Wire.rq_op with
                     | Wire.Ping ->
-                        send fd (Wire.Okay "pong");
-                        send fd Wire.End
+                        send t fd (Wire.Okay "pong");
+                        send t fd Wire.End
                     | Wire.Flush ->
                         with_lock t (fun () -> Lru.clear t.cache);
                         count t "serve.flushes";
-                        send fd (Wire.Okay "flushed");
-                        send fd Wire.End
+                        send t fd (Wire.Okay "flushed");
+                        send t fd Wire.End
                     | Wire.Shutdown ->
-                        send fd (Wire.Okay "stopping");
-                        send fd Wire.End;
+                        send t fd (Wire.Okay "stopping");
+                        send t fd Wire.End;
                         begin_shutdown t
                     | Wire.Fingerprint -> (
                         match rq.Wire.rq_source with
-                        | None -> fail fd "protocol" "fingerprint needs a source body"
+                        | None -> fail t fd "protocol" "fingerprint needs a source body"
                         | Some src -> (
                             match O.fingerprint ~arch:rq.Wire.rq_arch src with
                             | Ok key ->
-                                send fd (Wire.Okay key);
-                                send fd Wire.End
+                                send t fd (Wire.Okay key);
+                                send t fd Wire.End
                             | Error e ->
-                                fail fd (O.prepare_error_kind e)
+                                fail t fd (O.prepare_error_kind e)
                                   (O.prepare_error_message e)))
                     | Wire.Generate -> handle_generate t fd ~admitted rq)))
       with
@@ -314,7 +318,7 @@ let handle_connection t (fd, admitted) =
       | exception Unix.Unix_error _ -> ()
       | exception e ->
           count t "serve.errors";
-          fail fd "exec" (Printexc.to_string e))
+          fail t fd "exec" (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Executors and the accept loop *)
@@ -364,10 +368,10 @@ let accept_loop t =
         (match enqueued with
         | `Queued -> ()
         | `Busy ->
-            fail fd "busy" "request queue full, retry later";
+            fail t fd "busy" "request queue full, retry later";
             close_quiet fd
         | `Stopping ->
-            fail fd "shutdown" "server is stopping";
+            fail t fd "shutdown" "server is stopping";
             close_quiet fd);
         if with_lock t (fun () -> t.stopping) then () else loop ()
   in
@@ -423,7 +427,7 @@ let create (cfg : config) : t =
     [
       "serve.requests"; "serve.cache_hits"; "serve.cache_misses";
       "serve.cache_evictions"; "serve.busy_rejections"; "serve.errors";
-      "serve.flushes";
+      "serve.flushes"; "serve.send_errors";
     ];
   ignore (Obs.Registry.gauge t.sreg "serve.queue_depth");
   ignore (Obs.Registry.timer t.sreg "serve.prepare_time");
@@ -446,7 +450,7 @@ let join (t : t) =
   (* reject whatever was admitted but never served *)
   Queue.iter
     (fun (fd, _) ->
-      fail fd "shutdown" "server is stopping";
+      fail t fd "shutdown" "server is stopping";
       close_quiet fd)
     t.queue;
   Queue.clear t.queue;

@@ -16,11 +16,6 @@ type verdict =
   | Wrong_output of string  (** observed behavior differs from the expectation *)
   | Crash of string  (** the toolchain/model raised (an "exception" bug) *)
 
-let verdict_name = function
-  | Pass -> "PASS"
-  | Wrong_output _ -> "WRONG"
-  | Crash _ -> "CRASH"
-
 (* ------------------------------------------------------------------ *)
 (* Program preparation: same front end as the oracle *)
 

@@ -680,24 +680,6 @@ let digest e =
   in
   go e
 
-let size e =
-  let seen = Hashtbl.create 64 in
-  let rec go e =
-    if not (Hashtbl.mem seen e.tag) then begin
-      Hashtbl.add seen e.tag ();
-      match e.node with
-      | Var _ | Const _ | Taint _ -> ()
-      | Not a | Slice (a, _, _) -> go a
-      | And (a, b) | Or (a, b) | Xor (a, b) | Add (a, b) | Sub (a, b)
-      | Mul (a, b) | Udiv (a, b) | Urem (a, b) | Concat (a, b) | Eq (a, b)
-      | Ult (a, b) | Slt (a, b) | Shl (a, b) | Lshr (a, b) | Ashr (a, b) ->
-          go a; go b
-      | Ite (a, b, c) -> go a; go b; go c
-    end
-  in
-  go e;
-  Hashtbl.length seen
-
 let eval ?(taint = fun _ w -> Bits.zero w) env e =
   let memo = Hashtbl.create 64 in
   let rec go e =

@@ -182,9 +182,6 @@ val eval : ?taint:(int -> int -> Bitv.Bits.t) -> (var -> Bitv.Bits.t) -> t -> Bi
 val subst : (var -> t option) -> t -> t
 (** Capture-free substitution of variables. *)
 
-val size : t -> int
-(** Number of distinct subterms (DAG size). *)
-
 (** {1 Word-level simplification} *)
 
 val simplify : t -> t

@@ -502,14 +502,7 @@ let check t (e : Expr.t) : verdict =
 (* After a real probe check of path ∪ {c}: Sat proves the whole
    active digest set simultaneously satisfiable and yields a witness
    assignment; Unsat proves the stashed slice unsatisfiable. *)
-let qdebug = Sys.getenv_opt "QCACHE_DEBUG" <> None
-
 let note_sat t (m : Solver.model option) =
-  if qdebug then
-    Printf.eprintf "QC MISS sat  spine=%d slice=%d cd=%s\n%!"
-      (List.length t.spine)
-      (match t.last_slice with Some s -> Array.length s.members | None -> -1)
-      (match t.last_cdigest with Some d -> String.sub (Digest.to_hex d) 0 8 | None -> "-");
   (match t.last_cdigest with
   | Some cd ->
       let path =
@@ -522,11 +515,6 @@ let note_sat t (m : Solver.model option) =
   note_model t m
 
 let note_unsat t =
-  if qdebug then
-    Printf.eprintf "QC MISS unsat spine=%d slice=%d cd=%s\n%!"
-      (List.length t.spine)
-      (match t.last_slice with Some s -> Array.length s.members | None -> -1)
-      (match t.last_cdigest with Some d -> String.sub (Digest.to_hex d) 0 8 | None -> "-");
   match t.last_slice with
   | Some s -> add_bytes t (dring_insert t.unsat_sets s)
   | None -> ()

@@ -33,7 +33,6 @@ type t = {
   ectx : Expr.ctx;
   sat : Sat.t;
   blast : Blast.t;
-  simplify : bool; (* word-level rewrite before blasting *)
   metrics : metrics;
   mutable scopes : int list; (* activation literals, innermost first *)
   (* snapshot of the SAT assignment after the last Sat answer; models
@@ -75,15 +74,14 @@ let make_metrics obs ectx sat =
     m_last_rewrites = Expr.rewrite_hits ectx;
   }
 
-let create ?obs ?(sat_options = Sat.default_options) ?(simplify = true) ectx =
+let create ?obs ectx =
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let sat = Sat.create ~options:sat_options () in
+  let sat = Sat.create () in
   let blast = Blast.create ectx sat in
   {
     ectx;
     sat;
     blast;
-    simplify;
     metrics = make_metrics obs ectx sat;
     scopes = [];
     model_snap = [||];
@@ -109,7 +107,6 @@ let clone ?obs ~ectx s =
     ectx;
     sat;
     blast;
-    simplify = s.simplify;
     metrics = make_metrics obs ectx sat;
     scopes = [];
     model_snap = Array.copy s.model_snap;
@@ -160,16 +157,14 @@ let pop s =
 
 let ctx s = s.ectx
 
-(* word-level rewrite at assert time: what the pass discharges never
-   reaches the CNF layer *)
-let prepare_term s e = if s.simplify then Expr.simplify e else e
-
 let assert_ s e =
   if Expr.width e <> 1 then invalid_arg "Solver.assert_: width-1 term expected";
   if Expr.ctx_of e != s.ectx then
     invalid_arg "Solver.assert_: term from a different Expr context";
   Sat.backtrack s.sat;
-  let l = Blast.lit s.blast (prepare_term s e) in
+  (* word-level rewrite at assert time: what the pass discharges never
+     reaches the CNF layer *)
+  let l = Blast.lit s.blast (Expr.simplify e) in
   match s.scopes with
   | [] -> Sat.add_clause s.sat [ l ]
   | g :: _ -> Sat.add_clause s.sat [ Sat.negate g; l ]
@@ -198,7 +193,7 @@ let check_assuming s es =
       (fun e ->
         if Expr.width e <> 1 then
           invalid_arg "Solver.check_assuming: width-1 term expected";
-        Blast.lit s.blast (prepare_term s e))
+        Blast.lit s.blast (Expr.simplify e))
       es
   in
   run s (s.scopes @ ls)

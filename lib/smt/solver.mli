@@ -11,8 +11,7 @@ type t
 
 type result = Sat | Unsat
 
-val create :
-  ?obs:Obs.Registry.t -> ?sat_options:Sat.options -> ?simplify:bool -> Expr.ctx -> t
+val create : ?obs:Obs.Registry.t -> Expr.ctx -> t
 (** A fresh solver bound to one {!Expr.ctx}; terms from other contexts
     are rejected.  Independent solvers over independent contexts may
     run on different domains concurrently.
@@ -27,9 +26,9 @@ val create :
     share a registry — e.g. across explorer rebuilds — and their
     contributions accumulate.
 
-    [sat_options] tunes the CDCL core (see {!Sat.options}); [simplify]
-    (default [true]) runs {!Expr.simplify} on every asserted or assumed
-    term before bit-blasting. *)
+    The CDCL core runs with {!Sat.default_options}, and every asserted
+    or assumed term passes through {!Expr.simplify} before
+    bit-blasting. *)
 
 val clone : ?obs:Obs.Registry.t -> ectx:Expr.ctx -> t -> t
 (** [clone ~ectx s] is a warm copy of [s] bound to [ectx], which must

@@ -250,56 +250,14 @@ let test_frontier_matches_sequential () =
   Alcotest.(check bool) "same coverage" true
     (Runtime.IntSet.equal seq.Oracle.result.Explore.covered
        par.Oracle.result.Explore.covered);
-  (* and the frontier actually split — with every task started from a
-     state snapshot, not a prefix replay *)
+  (* and the frontier actually split, every task started from a
+     state snapshot *)
   let d = par.Oracle.result.Explore.obs in
   Alcotest.(check bool) "subtrees packaged" true
     (Obs.Snapshot.get_int d "explore.subtrees" > 1);
-  Alcotest.(check bool) "snapshots restored" true
-    (Obs.Snapshot.get_int d "explore.snapshot_restores" > 1);
-  Alcotest.(check int) "no prefix replays" 0
-    (Obs.Snapshot.get_int d "explore.replay_steps")
-
-let test_replay_fallback_equivalent () =
-  (* forcing every task over the snapshot size threshold exercises the
-     replay fallback: still deterministic across worker counts, same
-     path space and coverage as the snapshot path *)
-  let cfg pj =
-    {
-      Explore.default_config with
-      Explore.path_jobs = pj;
-      split_tasks = 6;
-      snapshot_max_bytes = 0;
-    }
-  in
-  let r1 = generate ~config:(cfg 1) Progzoo.Corpus.lpm_router in
-  let r4 = generate ~config:(cfg 4) Progzoo.Corpus.lpm_router in
-  Alcotest.(check (list string)) "replay fallback bit-deterministic"
-    (List.map Testspec.to_string r1.Oracle.result.Explore.tests)
-    (List.map Testspec.to_string r4.Oracle.result.Explore.tests);
-  Alcotest.(check (list (pair string int)))
-    "replay fallback counters identical" (sched_free_counters r1)
-    (sched_free_counters r4);
-  (* same path space as the snapshot-restore configuration *)
-  let snap =
-    generate
-      ~config:{ Explore.default_config with Explore.path_jobs = 2; split_tasks = 6 }
-      Progzoo.Corpus.lpm_router
-  in
-  Alcotest.(check int) "same path count as snapshot mode"
-    snap.Oracle.result.Explore.stats.Explore.paths
-    r4.Oracle.result.Explore.stats.Explore.paths;
-  Alcotest.(check bool) "same coverage as snapshot mode" true
-    (Runtime.IntSet.equal snap.Oracle.result.Explore.covered
-       r4.Oracle.result.Explore.covered);
-  (* and the fallback really was taken *)
-  let d = r4.Oracle.result.Explore.obs in
-  Alcotest.(check int) "no snapshot restores" 0
-    (Obs.Snapshot.get_int d "explore.snapshot_restores");
-  Alcotest.(check bool) "replay fallbacks taken" true
-    (Obs.Snapshot.get_int d "explore.replay_fallbacks" > 1);
-  Alcotest.(check bool) "replay steps recorded" true
-    (Obs.Snapshot.get_int d "explore.replay_steps" > 0)
+  Alcotest.(check int) "one snapshot restore per subtree"
+    (Obs.Snapshot.get_int d "explore.subtrees")
+    (Obs.Snapshot.get_int d "explore.snapshot_restores")
 
 let test_path_jobs_caps () =
   (* budget caps are exact under the deterministic merge, and capped
@@ -335,31 +293,61 @@ let test_path_jobs_caps () =
     "capped counters identical across path_jobs" (sched_free_counters r1)
     (sched_free_counters r4)
 
-let test_replay_reaches_frontier_state () =
-  (* the replay-correctness unit test: for every subtree the splitter
-     would hand to a worker, replaying its prefix into a *fresh*
-     prepared instance reaches a state with the same fingerprint as
-     the frontier node the splitter saw *)
+let test_direct_call_frontier () =
+  (* [Explore.run] needs no [Oracle] to run the frontier driver: a
+     direct call over a prepared context splits into subtrees and emits
+     exactly the suite [Oracle.generate] emits with the same config *)
   let src = Progzoo.Corpus.lpm_router in
-  let config = { Explore.default_config with Explore.split_tasks = 6 } in
+  let config =
+    { Explore.default_config with Explore.path_jobs = 2; split_tasks = 6 }
+  in
   let p = Oracle.prepare v1model src in
-  let fr = Explore.frontier ~config p.Oracle.ctx (Oracle.initial_state p) in
-  Alcotest.(check bool) "splitter found subtrees" true (List.length fr > 1);
-  let deep = List.filter (fun (_, fp) -> fp <> None) fr in
-  Alcotest.(check bool) "some subtrees are below forks" true (deep <> []);
-  List.iteri
-    (fun k (prefix, fp) ->
-      (* a fresh instance per replay: replay consumes ctx-local state
-         (fresh-name counters), exactly as a worker domain would *)
-      if k < 6 then
-        let reg = Obs.Registry.create () in
-        let ctx, st0 = Oracle.fresh_instance p reg in
-        let st = Explore.replay_prefix ctx st0 prefix in
-        Alcotest.(check string)
-          (Printf.sprintf "prefix [%s] replays to the frontier state"
-             (String.concat "." (List.map string_of_int prefix)))
-          (Option.get fp) (Explore.fingerprint st))
-    deep
+  let r = Explore.run ~config p.Oracle.ctx (Oracle.initial_state p) in
+  Alcotest.(check bool) "subtrees packaged" true
+    (Obs.Snapshot.get_int r.Explore.obs "explore.subtrees" > 1);
+  let via_oracle = generate ~config src in
+  Alcotest.(check (list string)) "same suite as Oracle.generate"
+    (List.map Testspec.to_string via_oracle.Oracle.result.Explore.tests)
+    (List.map Testspec.to_string r.Explore.tests)
+
+let test_on_test_raises () =
+  (* an exception from the [on_test] callback aborts a frontier run:
+     it reaches the caller after every worker domain has been joined
+     and the pool's tokens are back *)
+  let tokens0 = Atomic.get Explore.Pool.tokens in
+  let config =
+    {
+      Explore.default_config with
+      Explore.path_jobs = 2;
+      split_tasks = 6;
+      on_test = Some (fun _ -> raise Exit);
+    }
+  in
+  Alcotest.check_raises "callback exception propagates" Exit (fun () ->
+      ignore (generate ~config Progzoo.Corpus.lpm_router));
+  Alcotest.(check int) "pool tokens returned" tokens0
+    (Atomic.get Explore.Pool.tokens)
+
+let test_deadline_passed () =
+  (* the deadline is checked before every step, so one already in the
+     past stops both drivers before the first path closes *)
+  List.iter
+    (fun pj ->
+      let config =
+        {
+          Explore.default_config with
+          Explore.path_jobs = pj;
+          deadline = Some (Obs.Clock.now () -. 1.0);
+        }
+      in
+      let r = (generate ~config Progzoo.Corpus.lpm_router).Oracle.result in
+      Alcotest.(check int)
+        (Printf.sprintf "no paths (path_jobs=%d)" pj)
+        0 r.Explore.stats.Explore.paths;
+      Alcotest.(check int)
+        (Printf.sprintf "no tests (path_jobs=%d)" pj)
+        0 (List.length r.Explore.tests))
+    [ 0; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-packet test sequences (stateful externs across packets, §5) *)
@@ -445,11 +433,13 @@ let () =
             test_path_jobs_deterministic;
           Alcotest.test_case "frontier matches sequential" `Quick
             test_frontier_matches_sequential;
-          Alcotest.test_case "replay fallback equivalent" `Quick
-            test_replay_fallback_equivalent;
           Alcotest.test_case "budget caps exact" `Quick test_path_jobs_caps;
-          Alcotest.test_case "prefix replay reaches frontier state" `Quick
-            test_replay_reaches_frontier_state;
+          Alcotest.test_case "direct Explore.run splits" `Quick
+            test_direct_call_frontier;
+          Alcotest.test_case "passed deadline stops both drivers" `Quick
+            test_deadline_passed;
+          Alcotest.test_case "on_test exception aborts the run" `Quick
+            test_on_test_raises;
         ] );
       ( "sequences",
         [

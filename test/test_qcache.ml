@@ -156,8 +156,8 @@ let slicing_equisat_prop =
          && sat_of conds = List.for_all sat_of comps))
 
 (* the same property over *real* path conditions: every frontier
-   prefix of an exploration carries the recorded branch conditions of
-   a feasible path, and fuzzed programs vary their shape *)
+   task's captured state carries the recorded branch conditions of a
+   feasible path, and fuzzed programs vary their shape *)
 let test_randprog_path_slices () =
   List.iter
     (fun seed ->
@@ -166,13 +166,10 @@ let test_randprog_path_slices () =
       let config = { Explore.default_config with Explore.split_tasks = 4 } in
       let fr = Explore.frontier ~config p.Oracle.ctx (Oracle.initial_state p) in
       List.iteri
-        (fun k (prefix, _) ->
+        (fun k (_, st) ->
           if k < 4 then begin
-            let reg = Obs.Registry.create () in
-            let tctx, st0 = Oracle.fresh_instance p reg in
-            let st = Explore.replay_prefix tctx st0 prefix in
             let conds = st.Runtime.path_cond in
-            let ectx = tctx.Runtime.ectx in
+            let ectx = p.Oracle.ctx.Runtime.ectx in
             let sat cs =
               let s = Solver.create ectx in
               List.iter (Solver.assert_ s) cs;

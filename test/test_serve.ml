@@ -183,7 +183,7 @@ let test_on_test_streaming () =
 (* ------------------------------------------------------------------ *)
 (* The daemon, end to end *)
 
-let with_server ?(cache_slots = 4) ?(workers = 2) f =
+let with_daemon ?(cache_slots = 4) ?(workers = 2) f =
   let path = Filename.temp_file "p4tg-test" ".sock" in
   let ep = Serve.Wire.Unix_sock path in
   let server =
@@ -200,7 +200,10 @@ let with_server ?(cache_slots = 4) ?(workers = 2) f =
     ~finally:(fun () -> Serve.Server.stop server)
     (fun () ->
       Alcotest.(check bool) "daemon up" true (Serve.Client.wait_ready ep);
-      f ep)
+      f server ep)
+
+let with_server ?cache_slots ?workers f =
+  with_daemon ?cache_slots ?workers (fun _ ep -> f ep)
 
 let rpc ep rq =
   match Serve.Client.request ep rq with
@@ -386,6 +389,35 @@ let test_server_concurrent_bit_identical () =
                 (Some want_file) file)
         results)
 
+(* a client that hangs up mid-stream costs the daemon nothing but a
+   counted write error: the next connection is served normally *)
+let test_server_client_hangup () =
+  with_daemon ~workers:1 (fun server ep ->
+      let fd = Serve.Client.connect ep in
+      let src = Progzoo.Generators.middleblock ~acl_stages:2 () in
+      Serve.Wire.write_frame fd
+        (Serve.Wire.encode_request (gen_rq ~source:src ()));
+      let rec first_test () =
+        match Serve.Wire.read_frame fd with
+        | None -> Alcotest.fail "stream ended before the first test"
+        | Some payload -> (
+            match Serve.Wire.decode_event payload with
+            | Ok (Serve.Wire.Test _) -> ()
+            | Ok _ -> first_test ()
+            | Error msg -> Alcotest.failf "bad frame: %s" msg)
+      in
+      first_test ();
+      Unix.close fd;
+      (* one executor: this request is served only after the abandoned
+         one has finished writing into the closed socket *)
+      let next = rpc ep (gen_rq ~source:Progzoo.Corpus.fig1a ()) in
+      Alcotest.(check (option (pair string string))) "next request error-free"
+        None (Serve.Client.find_error next);
+      Alcotest.(check bool) "next request served" true (tests_of next <> []);
+      Alcotest.(check bool) "send errors counted" true
+        (Obs.Snapshot.get_int (Serve.Server.snapshot server) "serve.send_errors"
+        >= 1))
+
 let test_wire_roundtrip () =
   let rq =
     {
@@ -458,5 +490,7 @@ let () =
           Alcotest.test_case "prepare error survives" `Quick test_server_prepare_error;
           Alcotest.test_case "concurrent bit-identical" `Quick
             test_server_concurrent_bit_identical;
+          Alcotest.test_case "client hangup counted" `Quick
+            test_server_client_hangup;
         ] );
     ]
