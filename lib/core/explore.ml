@@ -49,7 +49,6 @@ type config = {
   max_tests : int option;
   max_paths : int option;
   strategy : strategy;
-  stop_at_full_coverage : bool;
   path_jobs : int;
       (** 0 = classic sequential DFS; N >= 1 = frontier-split driver
           with N worker domains (capped by the shared domain pool and
@@ -74,8 +73,8 @@ type config = {
           splitter refinements): tests emitted so far are kept.  A run
           cut by its deadline is time-dependent, so determinism
           guarantees only hold for runs that finish before it. *)
-  (* The three fields below are test/bench-only: the CLI and the
-     daemon always run with their defaults. *)
+  (* The three fields below are test-only: the CLI, the daemon and
+     the benchmarks always run with their defaults. *)
   rebuild_size_threshold : int;
       (** SAT variables a solver may accumulate before it is eligible
           for a rebuild (dead variables from popped scopes dominate
@@ -94,7 +93,7 @@ type config = {
           changes.  Test-emission models always come from real solver
           calls on the emission solver, whose history is independent
           of this flag; [false] is the bit-identity reference of the
-          qcache tests and [bench qcache]. *)
+          qcache tests. *)
 }
 
 let default_config =
@@ -102,7 +101,6 @@ let default_config =
     max_tests = None;
     max_paths = None;
     strategy = Dfs;
-    stop_at_full_coverage = false;
     path_jobs = 0;
     qcache_store = None;
     on_test = None;
@@ -215,6 +213,46 @@ module Pool = struct
       else acquire n
 
   let release n = if n > 0 then ignore (Atomic.fetch_and_add tokens n)
+
+  (* [run n work] runs up to [n] workers: the calling domain plus one
+     spawned domain per token granted.  [work nw] is applied once, with
+     the worker count [nw], and yields the body each worker [w < nw]
+     runs (worker 0 on the calling domain).  Whatever any worker
+     raises, every spawned domain is joined and the tokens are returned
+     before the first exception is re-raised. *)
+  let run n (work : int -> int -> unit) =
+    let extra = acquire (n - 1) in
+    let domains = ref [] in
+    let outcome f = match f () with () -> None | exception e -> Some e in
+    let main =
+      outcome (fun () ->
+          let body = work (extra + 1) in
+          for w = 1 to extra do
+            domains := Domain.spawn (fun () -> body w) :: !domains
+          done;
+          body 0)
+    in
+    let errors =
+      List.filter_map Fun.id
+        (main :: List.rev_map (fun d -> outcome (fun () -> Domain.join d)) !domains)
+    in
+    release extra;
+    match errors with e :: _ -> raise e | [] -> ()
+
+  (* [iter n count f] calls [f w i] once for every [i < count] on up to
+     [n] workers, each pulling the next index from a shared cursor;
+     [w] is the calling worker's index *)
+  let iter n count f =
+    let next = Atomic.make 0 in
+    run (min n count) (fun _ w ->
+        let rec loop () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < count then begin
+            f w i;
+            loop ()
+          end
+        in
+        loop ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -511,11 +549,6 @@ let check_budget eng =
   | Some n when Obs.Counter.value eng.e_cells.c_paths - eng.e_paths0 >= n ->
       raise Stop
   | _ -> ());
-  if
-    eng.e_cfg.stop_at_full_coverage
-    && eng.e_ctx.nstmts > 0
-    && IntSet.cardinal eng.e_covered >= eng.e_ctx.nstmts
-  then raise Stop;
   eng.e_extra_check ()
 
 let past_deadline (cfg : config) =
@@ -773,12 +806,9 @@ let merge_accept config ~cov ~ntests (r : task_result) =
   in
   (kept, cov)
 
-let budget_reached config ~nstmts ~ntests ~npaths ~cov =
+let budget_reached config ~ntests ~npaths =
   (match config.max_tests with Some m -> ntests >= m | None -> false)
   || (match config.max_paths with Some m -> npaths >= m | None -> false)
-  || config.stop_at_full_coverage
-     && nstmts > 0
-     && IntSet.cardinal cov >= nstmts
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive splitter
@@ -955,8 +985,7 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
           incr pcomplete
       | Done r ->
           if
-            budget_reached config ~nstmts:ctx.nstmts ~ntests:!acc_tests
-              ~npaths:!acc_paths ~cov:!acc_cov
+            budget_reached config ~ntests:!acc_tests ~npaths:!acc_paths
           then begin
             Atomic.set cut_at !pcomplete;
             continue_ := false
@@ -979,44 +1008,6 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
     Atomic.set prefix_acc (!pcomplete, !acc_tests)
   in
 
-  (* phase 2 — workers.  Task indices are dealt round-robin into one
-     queue per worker; each queue drains through an atomic cursor, so
-     owners pop their own queue and idle workers steal from the
-     others' (fetch_and_add hands out each index exactly once). *)
-  (* workers beyond the host's real parallelism only add domain
-     overhead (minor-GC synchronisation across oversubscribed domains
-     dwarfs the per-task work), so the request is capped by the host;
-     the split and merge are worker-count independent, so this cannot
-     change the output *)
-  let host_cap = max 1 (Domain.recommended_domain_count ()) in
-  let req_workers =
-    if n = 0 then 1 else max 1 (min config.path_jobs (min host_cap n))
-  in
-  let extra = Pool.acquire (req_workers - 1) in
-  let nw = extra + 1 in
-  let queues =
-    Array.init nw (fun w ->
-        let l = ref [] in
-        for i = n - 1 downto 0 do
-          if i mod nw = w then l := i :: !l
-        done;
-        Array.of_list !l)
-  in
-  let cursors = Array.init nw (fun _ -> Atomic.make 0) in
-  let take_task w =
-    let from q =
-      let i = Atomic.fetch_and_add cursors.(q) 1 in
-      if i < Array.length queues.(q) then Some queues.(q).(i) else None
-    in
-    let rec scan k =
-      if k >= nw then None
-      else
-        let q = (w + k) mod nw in
-        match from q with Some i -> Some (i, q <> w) | None -> scan (k + 1)
-    in
-    scan 0
-  in
-  let wregs = Array.init nw (fun _ -> Obs.Registry.create ()) in
   let run_task wreg i =
     (if i >= Atomic.get cut_at then slots.(i) <- Dropped
      else
@@ -1134,31 +1125,59 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
            slots.(i) <- Dropped);
     Mutex.protect mu advance
   in
-  let worker w () =
-    let wreg = wregs.(w) in
-    let c_steals = Obs.Registry.counter wreg "explore.steals" in
-    Obs.Span.with_ wreg "worker" (fun () ->
-        let rec loop () =
-          match take_task w with
-          | None -> ()
-          | Some (i, stolen) ->
-              if stolen then Obs.Counter.incr c_steals;
-              run_task wreg i;
-              loop ()
+  (* phase 2 — workers.  Task indices are dealt round-robin into one
+     queue per worker; each queue drains through an atomic cursor, so
+     owners pop their own queue and idle workers steal from the
+     others' (fetch_and_add hands out each index exactly once). *)
+  (* workers beyond the host's real parallelism only add domain
+     overhead (minor-GC synchronisation across oversubscribed domains
+     dwarfs the per-task work), so the request is capped by the host;
+     the split and merge are worker-count independent, so this cannot
+     change the output *)
+  let host_cap = max 1 (Domain.recommended_domain_count ()) in
+  let req_workers =
+    if n = 0 then 1 else max 1 (min config.path_jobs (min host_cap n))
+  in
+  let wregs = ref [||] in
+  (* an [on_test] callback may raise on any worker: [Pool.run] joins
+     every domain and returns the pool's tokens before re-raising *)
+  Pool.run req_workers (fun nw ->
+      let queues =
+        Array.init nw (fun w ->
+            let l = ref [] in
+            for i = n - 1 downto 0 do
+              if i mod nw = w then l := i :: !l
+            done;
+            Array.of_list !l)
+      in
+      let cursors = Array.init nw (fun _ -> Atomic.make 0) in
+      let take_task w =
+        let from q =
+          let i = Atomic.fetch_and_add cursors.(q) 1 in
+          if i < Array.length queues.(q) then Some queues.(q).(i) else None
         in
-        loop ())
-  in
-  let domains = List.init extra (fun k -> Domain.spawn (fun () -> worker (k + 1) ())) in
-  (* an [on_test] callback may raise on any worker: join every domain
-     and return the pool's tokens before re-raising the first error *)
-  let outcome f = match f () with () -> None | exception e -> Some e in
-  let main = outcome (worker 0) in
-  let errors =
-    List.filter_map Fun.id
-      (main :: List.map (fun d -> outcome (fun () -> Domain.join d)) domains)
-  in
-  Pool.release extra;
-  (match errors with e :: _ -> raise e | [] -> ());
+        let rec scan k =
+          if k >= nw then None
+          else
+            let q = (w + k) mod nw in
+            match from q with Some i -> Some (i, q <> w) | None -> scan (k + 1)
+        in
+        scan 0
+      in
+      wregs := Array.init nw (fun _ -> Obs.Registry.create ());
+      fun w ->
+        let wreg = !wregs.(w) in
+        let c_steals = Obs.Registry.counter wreg "explore.steals" in
+        Obs.Span.with_ wreg "worker" (fun () ->
+            let rec loop () =
+              match take_task w with
+              | None -> ()
+              | Some (i, stolen) ->
+                  if stolen then Obs.Counter.incr c_steals;
+                  run_task wreg i;
+                  loop ()
+            in
+            loop ()));
   (match parent_qc with Some q -> Smt.Qcache.publish q | None -> ());
 
   (* phase 3 — deterministic merge: walk tasks in splitter order,
@@ -1177,8 +1196,7 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
          match slot with
          | Done r ->
              if
-               budget_reached config ~nstmts:ctx.nstmts ~ntests:!ntests
-                 ~npaths:!npaths ~cov:!merged_cov
+               budget_reached config ~ntests:!ntests ~npaths:!npaths
              then raise Exit;
              let kept, cov =
                merge_accept config ~cov:!merged_cov ~ntests:!ntests r
@@ -1221,9 +1239,9 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
   (* worker registries carry only scheduling-local activity (steal
      counts, spans); absorb the counters and expose the registries as
      trace tracks *)
-  Array.iter (fun w -> Obs.Registry.absorb reg (Obs.Registry.snapshot w)) wregs;
+  Array.iter (fun w -> Obs.Registry.absorb reg (Obs.Registry.snapshot w)) !wregs;
   let workers =
-    Array.to_list (Array.mapi (fun w r -> (Printf.sprintf "path-worker-%d" w, r)) wregs)
+    Array.to_list (Array.mapi (fun w r -> (Printf.sprintf "path-worker-%d" w, r)) !wregs)
   in
   (List.rev !merged_tests, !merged_cov, workers)
 

@@ -269,29 +269,10 @@ let generate_batch ?(jobs = 1) (js : job list) : batch =
   let arr = Array.of_list js in
   let n = Array.length arr in
   let out = Array.make n (Failed "not run") in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        out.(i) <- run_job arr.(i);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let workers = max 1 (min jobs n) in
   (* extra domains come out of the shared pool, so [--jobs J] composed
      with per-job [path_jobs] stays within one process-wide domain
      budget instead of multiplying *)
-  let extra = Explore.Pool.acquire (workers - 1) in
-  if extra = 0 then worker ()
-  else begin
-    let domains = List.init extra (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains;
-    Explore.Pool.release extra
-  end;
+  Explore.Pool.iter jobs n (fun _ i -> out.(i) <- run_job arr.(i));
   (* every job owns its registry (created by its [prepare]), so the
      per-domain snapshots merge associatively with no synchronization;
      the stats record is the same façade projected from the merge *)

@@ -479,45 +479,28 @@ let run_random (cfg : config) : summary =
   let deadline = Option.map (fun s -> t0 +. s) cfg.max_seconds in
   let n = cfg.cases in
   let out = Array.make n None in
-  let next = Atomic.make 0 in
   let worker_regs =
     Array.init (max 1 cfg.jobs) (fun _ -> Obs.Registry.create ~record_spans:true ())
   in
-  let worker wid () =
-    let reg = worker_regs.(wid) in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let skipped =
-          match deadline with Some d -> Obs.Clock.now () > d | None -> false
-        in
-        (out.(i) <-
-          (if skipped then Some (skipped_result cfg i, Runtime.IntSet.empty)
-           else begin
-             let seed = case_seed cfg.seed i in
-             let arch = case_arch cfg i in
-             let gen = Randprog.generate_for ~arch ~seed in
-             let span = Obs.Span.enter reg ~args:[ ("case", string_of_int i) ] "case" in
-             let r =
-               eval_case cfg reg ~i ~seed ~arch_name:(Randprog.arch_name arch)
-                 ~src:gen.Randprog.src ~features:gen.Randprog.features
-             in
-             Obs.Span.exit reg span;
-             Some r
-           end));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let extra = Explore.Pool.acquire (cfg.jobs - 1) in
-  if extra = 0 then worker 0 ()
-  else begin
-    let domains = List.init extra (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    List.iter Domain.join domains;
-    Explore.Pool.release extra
-  end;
+  Explore.Pool.iter cfg.jobs n (fun wid i ->
+      let reg = worker_regs.(wid) in
+      let skipped =
+        match deadline with Some d -> Obs.Clock.now () > d | None -> false
+      in
+      out.(i) <-
+        (if skipped then Some (skipped_result cfg i, Runtime.IntSet.empty)
+         else begin
+           let seed = case_seed cfg.seed i in
+           let arch = case_arch cfg i in
+           let gen = Randprog.generate_for ~arch ~seed in
+           let span = Obs.Span.enter reg ~args:[ ("case", string_of_int i) ] "case" in
+           let r =
+             eval_case cfg reg ~i ~seed ~arch_name:(Randprog.arch_name arch)
+               ~src:gen.Randprog.src ~features:gen.Randprog.features
+           in
+           Obs.Span.exit reg span;
+           Some r
+         end));
   let pairs = Array.to_list out |> List.filter_map Fun.id in
   (* in-order fold: the key set is a union, so it is order-independent
      anyway, but folding by case index keeps the discipline visible *)
@@ -800,7 +783,6 @@ let run_corpus (cfg : config) (dir : string) : summary =
     Array.init (max 1 cfg.jobs) (fun _ -> Obs.Registry.create ~record_spans:true ())
   in
   let main_reg = worker_regs.(0) in
-  let extra = Explore.Pool.acquire (cfg.jobs - 1) in
   let batch = max 1 cfg.corpus_batch in
   let mutated = ref 0 in
   let interrupted = ref false in
@@ -813,39 +795,23 @@ let run_corpus (cfg : config) (dir : string) : summary =
     let m = b1 - b0 in
     (* phase A — sequential derivation (reads + ages the corpus) *)
     let derivs = Array.init m (fun k -> derive_case cfg corpus ~deadline (b0 + k)) in
-    (* phase B — parallel evaluation (pure w.r.t. the corpus) *)
+    (* phase B — parallel evaluation (pure w.r.t. the corpus); the
+       pool's tokens are held for this phase only *)
     let keys = Array.make m Runtime.IntSet.empty in
-    let nextb = Atomic.make 0 in
-    let worker wid () =
-      let reg = worker_regs.(wid) in
-      let rec loop () =
-        let k = Atomic.fetch_and_add nextb 1 in
-        if k < m then begin
-          (match derivs.(k) with
-          | Skip r -> out.(b0 + k) <- Some r
-          | Eval d ->
-              let i = b0 + k in
-              let span =
-                Obs.Span.enter reg ~args:[ ("case", string_of_int i) ] "case"
-              in
-              let r, ks =
-                eval_case cfg reg ~i ~seed:d.d_seed ~arch_name:d.d_arch
-                  ~src:d.d_src ~features:d.d_features
-              in
-              Obs.Span.exit reg span;
-              keys.(k) <- ks;
-              out.(i) <- Some r);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    if extra = 0 then worker 0 ()
-    else begin
-      let domains = List.init extra (fun j -> Domain.spawn (worker (j + 1))) in
-      worker 0 ();
-      List.iter Domain.join domains
-    end;
+    Explore.Pool.iter cfg.jobs m (fun wid k ->
+        match derivs.(k) with
+        | Skip r -> out.(b0 + k) <- Some r
+        | Eval d ->
+            let reg = worker_regs.(wid) in
+            let i = b0 + k in
+            let span = Obs.Span.enter reg ~args:[ ("case", string_of_int i) ] "case" in
+            let r, ks =
+              eval_case cfg reg ~i ~seed:d.d_seed ~arch_name:d.d_arch ~src:d.d_src
+                ~features:d.d_features
+            in
+            Obs.Span.exit reg span;
+            keys.(k) <- ks;
+            out.(i) <- Some r);
     (* phase C — sequential in-order fold: admission + counters *)
     for k = 0 to m - 1 do
       match (derivs.(k), out.(b0 + k)) with
@@ -873,7 +839,6 @@ let run_corpus (cfg : config) (dir : string) : summary =
     | _ -> ());
     b := b1
   done;
-  if extra > 0 then Explore.Pool.release extra;
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.admits")
     (corpus.Corpus.admits - admits0);
   Obs.Counter.add (Obs.Registry.counter main_reg "corpus.evictions")

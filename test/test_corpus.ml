@@ -10,13 +10,16 @@
    mutation is deterministic in (seed, source, donor).  Campaign
    integration: a killed-and-resumed corpus campaign (via the
    [interrupt_after] test hook) must produce a summary and corpus file
-   bit-identical to an uninterrupted run at the same seed. *)
+   bit-identical to an uninterrupted run at the same seed, and a
+   campaign whose checkpoint write fails must return the domain pool's
+   tokens. *)
 
 module Campaign = Selftest.Campaign
 module Corpus = Selftest.Corpus
 module Mutate = Selftest.Mutate
 module Randprog = Progzoo.Randprog
 module Oracle = Testgen.Oracle
+module Explore = Testgen.Explore
 module ISet = Corpus.ISet
 
 (* ------------------------------------------------------------------ *)
@@ -270,6 +273,38 @@ let test_resume_bit_identity () =
         (read_file (Filename.concat d_ref "corpus.p4tg"))
         (read_file (Filename.concat d_int "corpus.p4tg")))
 
+(* a checkpoint write that fails must reach the caller and leave the
+   domain pool as it found it: a directory squatting on the corpus
+   file's write-then-rename temporary makes the first batch's save
+   raise [Sys_error] right after that batch's parallel phase *)
+let test_failed_checkpoint_returns_tokens () =
+  let dir = fresh_dir "p4tg-campaign-ck" in
+  let squat = Filename.concat dir (Corpus.file_name ^ ".tmp") in
+  Sys.mkdir squat 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.rmdir squat;
+      rm_rf dir)
+    (fun () ->
+      let tokens0 = Atomic.get Explore.Pool.tokens in
+      let cfg =
+        {
+          Campaign.default_config with
+          Campaign.cases = 4;
+          seed = 3;
+          jobs = 2;
+          max_tests = 4;
+          reduce = false;
+          corpus_dir = Some dir;
+          corpus_batch = 4;
+        }
+      in
+      (match Campaign.run cfg with
+      | _ -> Alcotest.fail "the checkpoint write should have failed"
+      | exception Sys_error _ -> ());
+      Alcotest.(check int) "pool tokens returned" tokens0
+        (Atomic.get Explore.Pool.tokens))
+
 let () =
   Alcotest.run "corpus"
     [
@@ -290,5 +325,7 @@ let () =
         [
           Alcotest.test_case "killed+resumed bit-identity" `Quick
             test_resume_bit_identity;
+          Alcotest.test_case "failed checkpoint returns pool tokens" `Quick
+            test_failed_checkpoint_returns_tokens;
         ] );
     ]

@@ -53,12 +53,6 @@ let test_cov_greedy_fewer_tests () =
     (Testgen.Runtime.IntSet.equal run_dfs.Oracle.result.Explore.covered
        run_cov.Oracle.result.Explore.covered)
 
-let test_stop_at_full_coverage () =
-  let config = { Explore.default_config with Explore.stop_at_full_coverage = true } in
-  let run = generate ~config Progzoo.Corpus.lpm_router in
-  let r = run.Oracle.result in
-  Alcotest.(check bool) "full coverage reached" true (Explore.coverage_pct r >= 100.0)
-
 let test_fixed_packet_size () =
   (* with a fixed input size there are no parser-reject paths and every
      input is exactly that size (Tbl. 4b) *)
@@ -413,7 +407,6 @@ let () =
           Alcotest.test_case "max-tests cap" `Quick test_max_tests_cap;
           Alcotest.test_case "rnd same coverage" `Quick test_rnd_same_coverage;
           Alcotest.test_case "cov-greedy fewer tests" `Quick test_cov_greedy_fewer_tests;
-          Alcotest.test_case "stop at full coverage" `Quick test_stop_at_full_coverage;
         ] );
       ( "preconditions",
         [

@@ -1,7 +1,8 @@
 (* Query-cache tests: support sets, independence slicing, the cache
    layers (SAT subsumption, model reuse, UNSAT supersets, syntactic
    witnesses), cross-run stores, and the end-to-end guarantee that
-   caching never changes the emitted test suite.
+   caching never changes the emitted test suite while it keeps
+   solver.checks at least 30% below the uncached run.
 
    The two property tests mirror the soundness obligations of the
    slicer:
@@ -303,31 +304,110 @@ let test_components_unit () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: caching never changes the emitted suite *)
 
-let suite_of config src =
-  let run = Oracle.generate ~config v1model src in
+(* the gated programs: the paper's worked examples, the large programs
+   of Tbl. 4a (the two branchiest capped at 400 tests) and a
+   register-dependent 2-packet sequence *)
+type program = {
+  name : string;
+  target : (module Testgen.Target_intf.S);
+  src : string;
+  opts : Runtime.options;
+  config : Explore.config;
+}
+
+let program ?(target = v1model) ?(opts = Runtime.default_options) ?cap name src =
+  let config = { Explore.default_config with Explore.max_tests = cap } in
+  { name; target; src; opts; config }
+
+let programs =
+  [
+    program "fig1a" Progzoo.Corpus.fig1a;
+    program "fig1b" Progzoo.Corpus.fig1b;
+    program "middleblock_2acl" ~cap:400
+      (Progzoo.Generators.middleblock ~acl_stages:2 ());
+    program "up4" (Progzoo.Generators.up4 ());
+    program "switch6_tna" ~target:Targets.Tna.target ~cap:400
+      (Progzoo.Generators.switch_tna ~stages:6 ());
+    program "register_seq2"
+      ~opts:{ Runtime.default_options with Runtime.seq_packets = 2 }
+      Progzoo.Corpus.register_program;
+  ]
+
+(* the bit-identity tests also cover lpm_router *)
+let identity_programs = program "lpm_router" Progzoo.Corpus.lpm_router :: programs
+
+(* a program's emitted suite and its solver.checks under [f config] *)
+let suite_of ?(f = Fun.id) p =
+  let run = Oracle.generate ~opts:p.opts ~config:(f p.config) p.target p.src in
   ( List.map Testspec.to_string run.Oracle.result.Explore.tests,
     Obs.Snapshot.get_int
       (Obs.Registry.snapshot (Oracle.registry run))
       "solver.checks" )
 
+(* every program with the cache off and on, run once and shared by the
+   bit-identity test and the check-count bounds *)
+let off_on =
+  lazy
+    (List.map
+       (fun p ->
+         let off = suite_of ~f:(fun c -> { c with Explore.query_cache = false }) p in
+         (p, off, suite_of p))
+       identity_programs)
+
 let test_bit_identity () =
   List.iter
-    (fun src ->
-      let on, c_on = suite_of Explore.default_config src in
-      let off, c_off =
-        suite_of { Explore.default_config with Explore.query_cache = false } src
-      in
-      Alcotest.(check (list string)) "suite identical cache on/off" off on;
-      Alcotest.(check bool) "cache did not add checks" true (c_on <= c_off))
-    [ Progzoo.Corpus.lpm_router; Progzoo.Corpus.fig1a ]
+    (fun (p, (off, c_off), (on, c_on)) ->
+      Alcotest.(check (list string)) (p.name ^ ": suite identical cache on/off") off on;
+      Alcotest.(check bool) (p.name ^ ": cache did not add checks") true (c_on <= c_off))
+    (Lazy.force off_on)
 
 let test_parallel_bit_identity () =
-  let cfg pj =
-    { Explore.default_config with Explore.path_jobs = pj; split_tasks = 6 }
+  List.iter
+    (fun p ->
+      let pj n c = { c with Explore.path_jobs = n; split_tasks = 6 } in
+      let t1, _ = suite_of ~f:(pj 1) p in
+      let t4, _ = suite_of ~f:(pj 4) p in
+      Alcotest.(check (list string)) (p.name ^ ": cache on: pj1 = pj4") t1 t4)
+    identity_programs
+
+(* solver.checks per program with the cache on, as recorded when the
+   cache landed, at path_jobs 0 and (default split) path_jobs 1; a run
+   may exceed its figure by at most 2% *)
+let checks_pj0 =
+  [
+    ("fig1a", 6);
+    ("fig1b", 7);
+    ("middleblock_2acl", 563);
+    ("up4", 114);
+    ("switch6_tna", 406);
+    ("register_seq2", 4);
+  ]
+
+let checks_pj1 = [ ("fig1a", 9); ("fig1b", 9); ("register_seq2", 4) ]
+
+let test_check_bounds () =
+  let within label bound checks =
+    if float_of_int checks > float_of_int bound *. 1.02 then
+      Alcotest.failf "%s: %d solver checks, bound %d (+2%%)" label checks bound
   in
-  let t1, _ = suite_of (cfg 1) Progzoo.Corpus.lpm_router in
-  let t4, _ = suite_of (cfg 4) Progzoo.Corpus.lpm_router in
-  Alcotest.(check (list string)) "cache on: pj1 = pj4" t1 t4
+  let runs =
+    List.filter (fun (p, _, _) -> List.mem_assoc p.name checks_pj0) (Lazy.force off_on)
+  in
+  List.iter (fun (p, _, (_, c)) -> within p.name (List.assoc p.name checks_pj0) c) runs;
+  List.iter
+    (fun p ->
+      match List.assoc_opt p.name checks_pj1 with
+      | Some bound ->
+          let _, c = suite_of ~f:(fun c -> { c with Explore.path_jobs = 1 }) p in
+          within (p.name ^ " at path_jobs 1") bound c
+      | None -> ())
+    programs;
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+  let off = total (fun (_, (_, c), _) -> c) and on = total (fun (_, _, (_, c)) -> c) in
+  let drop = 100.0 *. float_of_int (off - on) /. float_of_int off in
+  if drop < 30.0 then
+    Alcotest.failf "solver.checks %d (cache off) -> %d (cache on): drop %.1f%% < 30%%"
+      off on drop
 
 let () =
   Alcotest.run "qcache"
@@ -355,5 +435,6 @@ let () =
           Alcotest.test_case "bit-identical on/off" `Quick test_bit_identity;
           Alcotest.test_case "bit-identical across path-jobs" `Quick
             test_parallel_bit_identity;
+          Alcotest.test_case "solver.checks within bounds" `Slow test_check_bounds;
         ] );
     ]
