@@ -169,7 +169,8 @@ let strategy =
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
           "Path selection: $(b,dfs) (exhaustive), $(b,rnd) (random order), $(b,cov) \
-           (coverage-greedy)")
+           (DFS order, keeps only tests that add statement coverage and stops at full \
+           coverage)")
 
 let fixed_size =
   Arg.(

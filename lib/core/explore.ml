@@ -4,8 +4,10 @@
    pruning of unsatisfiable branches, using the solver incrementally
    (scopes pushed and popped along the DFS spine), exactly as the
    paper configures Z3 (§6).  Alternative strategies enabled by the
-   continuation design (§5.1.2): random branch ordering and a greedy
-   coverage mode that only emits coverage-increasing tests.
+   continuation design (§5.1.2): random branch ordering, and a
+   coverage mode that walks in DFS order but builds and keeps only the
+   paths that add statement coverage, stopping once every statement is
+   covered.
 
    Two drivers share the same DFS engine:
 
@@ -121,6 +123,7 @@ type stats = {
   mutable abandoned : int;  (** paths cut by unrolling/recirc bounds *)
   mutable discarded_taint : int;  (** tests dropped for tainted ports *)
   mutable discarded_concolic : int;
+  mutable discarded_cov : int;  (** Cov paths dropped for adding no coverage *)
   mutable t_step : float;  (** interpretation time *)
   mutable t_emit : float;  (** test-construction time (includes its solver calls) *)
   mutable t_emit_solve : float;  (** solver time spent inside test construction *)
@@ -155,6 +158,7 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     abandoned = i "explore.abandoned";
     discarded_taint = i "explore.discarded_taint";
     discarded_concolic = i "explore.discarded_concolic";
+    discarded_cov = i "explore.discarded_cov";
     t_step = f "explore.t_step";
     t_emit = f "explore.t_emit";
     t_emit_solve = f "explore.t_emit_solve";
@@ -404,12 +408,15 @@ type cells = {
   c_abandoned : Obs.Counter.t;
   c_disc_taint : Obs.Counter.t;
   c_disc_concolic : Obs.Counter.t;
+  c_disc_cov : Obs.Counter.t;
   c_branch_checks : Obs.Counter.t;
   c_seq_paths : Obs.Counter.t;
   c_rebuilds : Obs.Counter.t;
   tm_step : Obs.Timer.t;
   tm_emit : Obs.Timer.t;
   tm_emit_solve : Obs.Timer.t;
+  tm_branch : Obs.Timer.t;
+  tm_rebuild : Obs.Timer.t;
   tm_solve : Obs.Timer.t;
 }
 
@@ -421,12 +428,15 @@ let make_cells reg =
     c_abandoned = Obs.Registry.counter reg "explore.abandoned";
     c_disc_taint = Obs.Registry.counter reg "explore.discarded_taint";
     c_disc_concolic = Obs.Registry.counter reg "explore.discarded_concolic";
+    c_disc_cov = Obs.Registry.counter reg "explore.discarded_cov";
     c_branch_checks = Obs.Registry.counter reg "explore.branch_checks";
     c_seq_paths = Obs.Registry.counter reg "explore.sequence_paths";
     c_rebuilds = Obs.Registry.counter reg "solver.rebuilds";
     tm_step = Obs.Registry.timer reg "explore.t_step";
     tm_emit = Obs.Registry.timer reg "explore.t_emit";
     tm_emit_solve = Obs.Registry.timer reg "explore.t_emit_solve";
+    tm_branch = Obs.Registry.timer reg "explore.t_branch";
+    tm_rebuild = Obs.Registry.timer reg "explore.t_rebuild";
     (* solver time lives in the registry and therefore accumulates
        across solver rebuilds (every solver of a run shares it) *)
     tm_solve = Obs.Registry.timer reg "solver.time";
@@ -554,10 +564,19 @@ let check_budget eng =
 let past_deadline (cfg : config) =
   match cfg.deadline with Some d -> Obs.Clock.now () > d | None -> false
 
+(* Under Cov a path is kept only if it adds statement coverage, so the
+   novelty check runs before the test is built: a dropped path costs no
+   randomisation, concolic solve or model evaluation.  [e_covered] is
+   this engine's own coverage (a frontier task's, never the merge
+   prefix's, which depends on scheduling); the merge re-filters against
+   the global union.  Once every statement is covered no later path can
+   be kept, so the walk stops. *)
 let finish eng st =
   let reg = eng.e_ctx.obs in
   Obs.Counter.incr eng.e_cells.c_paths;
   if st.seq_done <> [] then Obs.Counter.incr eng.e_cells.c_seq_paths;
+  let cov = eng.e_cfg.strategy = Cov in
+  let full = ref false in
   Obs.Span.with_ reg
     ~args:
       [
@@ -570,6 +589,8 @@ let finish eng st =
       let t0 = Obs.Clock.now () in
       let solve0 = Obs.Timer.value eng.e_cells.tm_solve in
       (if port_tainted st then Obs.Counter.incr eng.e_cells.c_disc_taint
+       else if cov && IntSet.subset st.covered eng.e_covered then
+         Obs.Counter.incr eng.e_cells.c_disc_cov
        else
          match build_test eng.e_ctx !(eng.e_solver) st with
          | None -> Obs.Counter.incr eng.e_cells.c_disc_concolic
@@ -580,22 +601,21 @@ let finish eng st =
              | Some q ->
                  Smt.Qcache.note_model q (Solver.capture_model !(eng.e_solver))
              | None -> ());
-             let is_new = not (IntSet.subset st.covered eng.e_covered) in
              eng.e_covered <- IntSet.union st.covered eng.e_covered;
-             if eng.e_cfg.strategy <> Cov || is_new then begin
-               if eng.e_count_tests then Obs.Counter.incr eng.e_cells.c_tests;
-               eng.e_emitted <- eng.e_emitted + 1;
-               eng.e_tests <- t :: eng.e_tests;
-               (* stream accepted tests as paths close — only when this
-                  engine's tests are final (the sequential driver).  A
-                  frontier worker's tests pass through the deterministic
-                  merge first; the merge streams them instead. *)
-               if eng.e_count_tests then
-                 match eng.e_cfg.on_test with Some f -> f t | None -> ()
-             end);
+             full := cov && IntSet.cardinal eng.e_covered >= eng.e_ctx.nstmts;
+             if eng.e_count_tests then Obs.Counter.incr eng.e_cells.c_tests;
+             eng.e_emitted <- eng.e_emitted + 1;
+             eng.e_tests <- t :: eng.e_tests;
+             (* stream accepted tests as paths close — only when this
+                engine's tests are final (the sequential driver).  A
+                frontier worker's tests pass through the deterministic
+                merge first; the merge streams them instead. *)
+             if eng.e_count_tests then
+               match eng.e_cfg.on_test with Some f -> f t | None -> ());
       Obs.Timer.add eng.e_cells.tm_emit (Obs.Clock.now () -. t0);
       Obs.Timer.add eng.e_cells.tm_emit_solve
         (Obs.Timer.value eng.e_cells.tm_solve -. solve0));
+  if !full then raise Stop;
   check_budget eng
 
 (* branch ordering, tagged with each branch's original index so a
@@ -668,6 +688,10 @@ let rec dfs eng ~split depth pref st =
           | Some c when Expr.is_false c ->
               Obs.Counter.incr eng.e_cells.c_infeasible
           | Some c ->
+              (* [t_branch] times the feasibility verdict and the scope
+                 pushes and pops on both solvers, never the subtree *)
+              let tm = eng.e_cells.tm_branch in
+              let t0 = Obs.Clock.now () in
               (* the probe carries the full candidate path (the query
                  cache consults slices of the path *without* [c], so it
                  runs before the cache's own push) *)
@@ -714,15 +738,21 @@ let rec dfs eng ~split depth pref st =
                    (match eng.e_qc with
                    | Some q -> Smt.Qcache.push q c
                    | None -> ());
+                   Obs.Timer.add tm (Obs.Clock.now () -. t0);
                    Fun.protect
                      ~finally:(fun () ->
+                       let t1 = Obs.Clock.now () in
                        (match eng.e_qc with
                        | Some q -> Smt.Qcache.pop q
                        | None -> ());
-                       Solver.pop !(eng.e_solver))
+                       Solver.pop !(eng.e_solver);
+                       Obs.Timer.add tm (Obs.Clock.now () -. t1))
                      (fun () -> enter i (add_cond c b.br_state))
                  end
-                 else Obs.Counter.incr eng.e_cells.c_infeasible
+                 else begin
+                   Obs.Timer.add tm (Obs.Clock.now () -. t0);
+                   Obs.Counter.incr eng.e_cells.c_infeasible
+                 end
                with e ->
                  (* keep spine and scope stack consistent on any exit
                     (Stop, frontier abort): pop both, not just the
@@ -730,9 +760,13 @@ let rec dfs eng ~split depth pref st =
                  Solver.pop !(eng.e_probe);
                  eng.e_spine := List.tl !(eng.e_spine);
                  raise e);
+              let t1 = Obs.Clock.now () in
               Solver.pop !(eng.e_probe);
               eng.e_spine := List.tl !(eng.e_spine);
-              maybe_rebuild eng)
+              let t2 = Obs.Clock.now () in
+              Obs.Timer.add tm (t2 -. t1);
+              maybe_rebuild eng;
+              Obs.Timer.add eng.e_cells.tm_rebuild (Obs.Clock.now () -. t2))
         (order eng branches)
 
 (* ------------------------------------------------------------------ *)
@@ -779,32 +813,29 @@ let conds_since n0 st =
    mode a test survives only if it adds coverage over everything
    accepted before it (the worker's local filter can only have dropped
    tests subsumed by earlier tests of the same task, so re-filtering
-   against the global union is exact).  Returns the kept tests and the
-   updated coverage union — which includes every buildable path's
-   coverage, kept or not, matching the sequential driver. *)
-let accept_tests strategy cov tests =
-  let cov = ref cov in
-  let keep t =
-    let tc = IntSet.of_list t.Testspec.covered in
-    let is_new = not (IntSet.subset tc !cov) in
-    cov := IntSet.union tc !cov;
-    strategy <> Cov || is_new
+   against the global union is exact).  At most [room] tests are kept,
+   and the returned coverage union stops at the last kept one: how far
+   the boundary task ran past the cut depends on scheduling, so its
+   later tests must not reach [result.covered]. *)
+let accept_tests strategy ~room cov tests =
+  let rec go cov room kept = function
+    | t :: rest when room > 0 ->
+        let tc = IntSet.of_list t.Testspec.covered in
+        if strategy = Cov && IntSet.subset tc cov then go cov room kept rest
+        else go (IntSet.union tc cov) (room - 1) (t :: kept) rest
+    | _ -> (List.rev kept, cov)
   in
-  let kept = List.filter keep tests in
-  (kept, !cov)
+  go cov room [] tests
 
 (* one step of the deterministic merge: the tests task [r] contributes
    given the totals accumulated so far.  Shared verbatim by the
    early-abort prefix scan and the final merge so the cut point cannot
    diverge between them. *)
 let merge_accept config ~cov ~ntests (r : task_result) =
-  let kept, cov = accept_tests config.strategy cov r.tr_tests in
-  let kept =
-    match config.max_tests with
-    | Some m -> take (m - ntests) kept
-    | None -> kept
+  let room =
+    match config.max_tests with Some m -> m - ntests | None -> max_int
   in
-  (kept, cov)
+  accept_tests config.strategy ~room cov r.tr_tests
 
 let budget_reached config ~ntests ~npaths =
   (match config.max_tests with Some m -> ntests >= m | None -> false)

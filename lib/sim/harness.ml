@@ -180,6 +180,9 @@ let run_ebpf (cfg : cfg) st ~port (input : Bits.t) : (int * Bits.t) list option 
   declare cfg st ~init:(uninit cfg st) htyp "$pipe.hdr";
   declare cfg st ~init:Bits.zero Ast.TBool "$pipe.accept";
   st.pkt <- input;
+  (* a sequence runs every packet on one state: drop the previous
+     packet's deparsed headers *)
+  st.emitted <- Bits.zero 0;
   match run_parser cfg st p [ BPacket; BData "$pipe.hdr" ] with
   | Error _ -> None (* a failing extract drops the packet in the kernel *)
   | Ok () ->
@@ -252,6 +255,7 @@ let run_tofino (cfg : cfg) st ~port (input : Bits.t) : (int * Bits.t) list optio
         (Bits.concat (Bits.of_int ~width:9 port) (Bits.random cfg.rng 48))
     in
     st.pkt <- Bits.concat md input;
+    st.emitted <- Bits.zero 0;
     let ig_bindings =
       [ BPacket; BData "$pipe.ig_hdr"; BData "$pipe.ig_md"; BData "$pipe.ig_intr_md" ]
     in

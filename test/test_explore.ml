@@ -1,5 +1,5 @@
 (* Exploration-strategy and precondition tests: DFS exhaustion,
-   random ordering, coverage-greedy emission, test caps, fixed packet
+   random ordering, coverage-filtered emission, test caps, fixed packet
    size, P4-constraints pruning, recirculation bounds. *)
 
 module Bits = Bitv.Bits
@@ -13,15 +13,24 @@ let v1model = Targets.V1model.target
 let generate ?(opts = Runtime.default_options) ?(config = Explore.default_config) src =
   Oracle.generate ~opts ~config v1model src
 
+let strategies =
+  [ ("dfs", Explore.Dfs); ("rnd", Explore.Rnd); ("cov", Explore.Cov) ]
+
 let test_dfs_exhaustive () =
-  let run = generate Progzoo.Corpus.lpm_router in
-  let r = run.Oracle.result in
-  (* every feasible path became a test or was deliberately discarded *)
-  Alcotest.(check int) "paths = tests + discards"
-    r.Explore.stats.Explore.paths
-    (r.Explore.stats.Explore.tests + r.Explore.stats.Explore.discarded_taint
-   + r.Explore.stats.Explore.discarded_concolic);
-  Alcotest.(check bool) "pruning happened" true (r.Explore.stats.Explore.infeasible >= 0)
+  (* every feasible path became a test or was deliberately discarded,
+     whatever the strategy *)
+  List.iter
+    (fun (name, strategy) ->
+      let config = { Explore.default_config with Explore.strategy } in
+      let r = (generate ~config Progzoo.Corpus.lpm_router).Oracle.result in
+      let s = r.Explore.stats in
+      Alcotest.(check int)
+        (name ^ ": paths = tests + discards")
+        s.Explore.paths
+        (s.Explore.tests + s.Explore.discarded_taint
+       + s.Explore.discarded_concolic + s.Explore.discarded_cov);
+      Alcotest.(check bool) (name ^ ": pruning happened") true (s.Explore.infeasible >= 0))
+    strategies
 
 let test_max_tests_cap () =
   let config = { Explore.default_config with Explore.max_tests = Some 3 } in
@@ -41,17 +50,27 @@ let test_rnd_same_coverage () =
        run_rnd.Oracle.result.Explore.covered)
 
 let test_cov_greedy_fewer_tests () =
-  (* the coverage-greedy strategy emits only coverage-increasing tests:
-     never more than DFS, same final coverage *)
+  (* the coverage strategy emits only coverage-increasing tests: never
+     more than DFS, same final coverage.  It checks novelty before
+     building a test, so it resolves only the tests it keeps, and it
+     stops at full coverage, walking fewer paths than DFS *)
   let run_dfs = generate Progzoo.Corpus.lpm_router in
   let config = { Explore.default_config with Explore.strategy = Explore.Cov } in
   let run_cov = generate ~config Progzoo.Corpus.lpm_router in
+  let dfs = run_dfs.Oracle.result and cov = run_cov.Oracle.result in
   Alcotest.(check bool) "fewer or equal tests" true
-    (List.length run_cov.Oracle.result.Explore.tests
-    <= List.length run_dfs.Oracle.result.Explore.tests);
+    (List.length cov.Explore.tests <= List.length dfs.Explore.tests);
   Alcotest.(check bool) "same coverage" true
-    (Testgen.Runtime.IntSet.equal run_dfs.Oracle.result.Explore.covered
-       run_cov.Oracle.result.Explore.covered)
+    (Testgen.Runtime.IntSet.equal dfs.Explore.covered cov.Explore.covered);
+  Alcotest.(check (float 0.0)) "full coverage" 100.0 (Explore.coverage_pct cov);
+  Alcotest.(check int) "resolves only kept tests"
+    (Obs.Snapshot.get_int cov.Explore.obs "explore.tests")
+    (Obs.Snapshot.get_int cov.Explore.obs "concolic.resolved");
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer paths (%d < %d)" cov.Explore.stats.Explore.paths
+       dfs.Explore.stats.Explore.paths)
+    true
+    (cov.Explore.stats.Explore.paths < dfs.Explore.stats.Explore.paths)
 
 let test_fixed_packet_size () =
   (* with a fixed input size there are no parser-reject paths and every
@@ -176,9 +195,6 @@ let test_rebuild_threshold () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel (frontier-split) exploration *)
-
-let strategies =
-  [ ("dfs", Explore.Dfs); ("rnd", Explore.Rnd); ("cov", Explore.Cov) ]
 
 (* counter totals of a run's delta snapshot, minus the one counter
    that is scheduling dependent by definition (which worker stole) *)
@@ -343,6 +359,49 @@ let test_deadline_passed () =
         0 (List.length r.Explore.tests))
     [ 0; 2 ]
 
+let test_merge_cov_stops_at_cut () =
+  (* the merge's coverage union stops at the last kept test: with room
+     for one test, a boundary task's later tests add no coverage *)
+  let test sids =
+    Testspec.make
+      ~input:(Testspec.packet ~port:(Bits.zero 9) (Bits.zero 8))
+      ~outputs:[] ~entries:[] ~registers:[] ~covered:sids ~comment:""
+  in
+  let r =
+    {
+      Explore.tr_tests = [ test [ 1; 2 ]; test [ 3 ]; test [ 4 ] ];
+      tr_paths = 3;
+      tr_snap = Obs.Registry.snapshot (Obs.Registry.create ());
+    }
+  in
+  let config = { Explore.default_config with Explore.max_tests = Some 3 } in
+  let kept, cov =
+    Explore.merge_accept config ~cov:Runtime.IntSet.empty ~ntests:2 r
+  in
+  Alcotest.(check int) "one test kept" 1 (List.length kept);
+  Alcotest.(check (list int)) "first test's coverage only" [ 1; 2 ]
+    (Runtime.IntSet.elements cov)
+
+(* ------------------------------------------------------------------ *)
+(* Phase ledger *)
+
+let test_ledger_partition () =
+  (* the named explorer timers account for the sequential run's
+     wall-clock; a ratio, so host speed cancels out *)
+  let r =
+    (generate (Progzoo.Generators.middleblock ~acl_stages:2 ())).Oracle.result
+  in
+  let f = Obs.Snapshot.get_float r.Explore.obs in
+  let named =
+    f "explore.t_step" +. f "explore.t_emit" +. f "explore.t_branch"
+    +. f "explore.t_rebuild"
+  in
+  let total = f "explore.total_time" in
+  Alcotest.(check bool)
+    (Printf.sprintf "named timers %.3fs of %.3fs" named total)
+    true
+    (named >= 0.95 *. total)
+
 (* ------------------------------------------------------------------ *)
 (* Multi-packet test sequences (stateful externs across packets, §5) *)
 
@@ -433,6 +492,13 @@ let () =
             test_deadline_passed;
           Alcotest.test_case "on_test exception aborts the run" `Quick
             test_on_test_raises;
+          Alcotest.test_case "merge coverage stops at the cut" `Quick
+            test_merge_cov_stops_at_cut;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "named timers cover the run" `Quick
+            test_ledger_partition;
         ] );
       ( "sequences",
         [

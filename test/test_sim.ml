@@ -159,6 +159,36 @@ let test_ebpf_filter () =
   Alcotest.(check bool) "short packet dropped" true
     (Sim.Harness.run_packet sim ~entries:[] ~port:0 (Bits.zero 8) = None)
 
+(* packet 2 of a sequence runs on packet 1's interpreter state, but
+   must not deparse packet 1's headers again *)
+let test_ebpf_sequence_emit_reset () =
+  let src =
+    {|
+header h_t { bit<16> f; }
+struct headers_t { h_t h; }
+parser prs(packet_in pkt, out headers_t hdr) {
+  state start { pkt.extract(hdr.h); transition accept; }
+}
+control pipe(inout headers_t hdr, out bool pass) {
+  apply { pass = true; }
+}
+ebpfFilter(prs(), pipe()) main;
+|}
+  in
+  let sim = Sim.Harness.prepare ~arch:"ebpf_model" src in
+  let inject v =
+    let p = Testspec.packet ~port:(Bits.zero 9) (Bits.of_int ~width:16 v) in
+    Testspec.SInject { input = p; outputs = [ p ] }
+  in
+  let t =
+    Testspec.make_seq
+      ~steps:[ inject 0x1234; inject 0xABCD ]
+      ~entries:[] ~registers:[] ~covered:[] ~comment:"two packets"
+  in
+  match Sim.Harness.run_test sim t with
+  | Sim.Harness.Pass -> ()
+  | Sim.Harness.Wrong_output m | Sim.Harness.Crash m -> Alcotest.fail m
+
 (* ------------------------------------------------------------------ *)
 (* registers persist within a packet, reset across packets *)
 
@@ -254,7 +284,12 @@ let () =
           Alcotest.test_case "forward + rewrite" `Quick test_tofino_forward_and_rewrite;
           Alcotest.test_case "default drop" `Quick test_tofino_default_drop;
         ] );
-      ("ebpf", [ Alcotest.test_case "filter" `Quick test_ebpf_filter ]);
+      ( "ebpf",
+        [
+          Alcotest.test_case "filter" `Quick test_ebpf_filter;
+          Alcotest.test_case "sequence re-emits only its own headers" `Quick
+            test_ebpf_sequence_emit_reset;
+        ] );
       ( "sequences",
         [
           Alcotest.test_case "oracle suite passes" `Quick test_sequence_suite_passes;
