@@ -124,6 +124,9 @@ type stats = {
   mutable discarded_taint : int;  (** tests dropped for tainted ports *)
   mutable discarded_concolic : int;
   mutable discarded_cov : int;  (** Cov paths dropped for adding no coverage *)
+  mutable discarded_budget : int;
+      (** paths dropped because a test-construction solve hit the SAT
+          core's conflict budget *)
   mutable t_step : float;  (** interpretation time *)
   mutable t_emit : float;  (** test-construction time (includes its solver calls) *)
   mutable t_emit_solve : float;  (** solver time spent inside test construction *)
@@ -159,6 +162,7 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     discarded_taint = i "explore.discarded_taint";
     discarded_concolic = i "explore.discarded_concolic";
     discarded_cov = i "explore.discarded_cov";
+    discarded_budget = i "explore.discarded_budget";
     t_step = f "explore.t_step";
     t_emit = f "explore.t_emit";
     t_emit_solve = f "explore.t_emit_solve";
@@ -409,7 +413,9 @@ type cells = {
   c_disc_taint : Obs.Counter.t;
   c_disc_concolic : Obs.Counter.t;
   c_disc_cov : Obs.Counter.t;
+  c_disc_budget : Obs.Counter.t;
   c_branch_checks : Obs.Counter.t;
+  c_budget_cut : Obs.Counter.t;
   c_seq_paths : Obs.Counter.t;
   c_rebuilds : Obs.Counter.t;
   tm_step : Obs.Timer.t;
@@ -429,7 +435,9 @@ let make_cells reg =
     c_disc_taint = Obs.Registry.counter reg "explore.discarded_taint";
     c_disc_concolic = Obs.Registry.counter reg "explore.discarded_concolic";
     c_disc_cov = Obs.Registry.counter reg "explore.discarded_cov";
+    c_disc_budget = Obs.Registry.counter reg "explore.discarded_budget";
     c_branch_checks = Obs.Registry.counter reg "explore.branch_checks";
+    c_budget_cut = Obs.Registry.counter reg "explore.budget_cut";
     c_seq_paths = Obs.Registry.counter reg "explore.sequence_paths";
     c_rebuilds = Obs.Registry.counter reg "solver.rebuilds";
     tm_step = Obs.Registry.timer reg "explore.t_step";
@@ -593,6 +601,8 @@ let finish eng st =
          Obs.Counter.incr eng.e_cells.c_disc_cov
        else
          match build_test eng.e_ctx !(eng.e_solver) st with
+         | exception Smt.Sat.Budget_exhausted ->
+             Obs.Counter.incr eng.e_cells.c_disc_budget
          | None -> Obs.Counter.incr eng.e_cells.c_disc_concolic
          | Some t ->
              (* the emission model satisfies the whole path — a
@@ -617,6 +627,17 @@ let finish eng st =
         (Obs.Timer.value eng.e_cells.tm_solve -. solve0));
   if !full then raise Stop;
   check_budget eng
+
+(* a branch-feasibility check on the probe: [None] when the SAT core's
+   conflict budget cut it.  A cut branch is not entered, and its
+   verdict is unknown, not infeasible: nothing is cached for it. *)
+let probe_check eng =
+  Obs.Counter.incr eng.e_cells.c_branch_checks;
+  match Solver.check !(eng.e_probe) with
+  | r -> Some (r = Solver.Sat)
+  | exception Smt.Sat.Budget_exhausted ->
+      Obs.Counter.incr eng.e_cells.c_budget_cut;
+      None
 
 (* branch ordering, tagged with each branch's original index so a
    task's prefix names choices independently of the order.  Rnd keys
@@ -702,19 +723,17 @@ let rec dfs eng ~split depth pref st =
                 match eng.e_qc with
                 | Some q -> (
                     match Smt.Qcache.check q c with
-                    | Smt.Qcache.Sat_hit -> true
-                    | Smt.Qcache.Unsat_hit -> false
+                    | Smt.Qcache.Sat_hit -> Some true
+                    | Smt.Qcache.Unsat_hit -> Some false
                     | Smt.Qcache.Unknown ->
-                        Obs.Counter.incr eng.e_cells.c_branch_checks;
-                        if Solver.check !(eng.e_probe) = Solver.Sat then begin
-                          Smt.Qcache.note_sat q
-                            (Solver.capture_model !(eng.e_probe));
-                          true
-                        end
-                        else begin
-                          Smt.Qcache.note_unsat q;
-                          false
-                        end)
+                        let r = probe_check eng in
+                        (match r with
+                        | Some true ->
+                            Smt.Qcache.note_sat q
+                              (Solver.capture_model !(eng.e_probe))
+                        | Some false -> Smt.Qcache.note_unsat q
+                        | None -> ());
+                        r)
                 | None ->
                     (* model reuse without the cache: if the probe's
                        last model already satisfies the branch
@@ -722,14 +741,11 @@ let rec dfs eng ~split depth pref st =
                        (every condition entered since that model was
                        produced passed this same test, so the model
                        still satisfies the whole path) *)
-                    Solver.holds !(eng.e_probe) c
-                    || begin
-                         Obs.Counter.incr eng.e_cells.c_branch_checks;
-                         Solver.check !(eng.e_probe) = Solver.Sat
-                       end
+                    if Solver.holds !(eng.e_probe) c then Some true
+                    else probe_check eng
               in
               (try
-                 if feasible then begin
+                 if feasible = Some true then begin
                    (* only feasible conditions reach the emission
                       solver, so its history never depends on how a
                       feasibility verdict was obtained *)
@@ -751,7 +767,8 @@ let rec dfs eng ~split depth pref st =
                  end
                  else begin
                    Obs.Timer.add tm (Obs.Clock.now () -. t0);
-                   Obs.Counter.incr eng.e_cells.c_infeasible
+                   if feasible = Some false then
+                     Obs.Counter.incr eng.e_cells.c_infeasible
                  end
                with e ->
                  (* keep spine and scope stack consistent on any exit
@@ -1122,13 +1139,16 @@ let run_frontier (config : config) (ctx : ctx) (st0 : state) =
              (* seed the model cache: the splitter proved the prefix
                 feasible, so this check cannot return Unsat, and it
                 gives the probe a model that satisfies the base — a
-                warm clone's inherited model need not *)
+                warm clone's inherited model need not.  A check cut by
+                the conflict budget seeds nothing. *)
              if base <> [] then begin
-               ignore (Solver.check !(eng.e_probe));
-               match eng.e_qc with
-               | Some q ->
-                   Smt.Qcache.note_model q (Solver.capture_model !(eng.e_probe))
-               | None -> ()
+               match Solver.check !(eng.e_probe) with
+               | _ ->
+                   Option.iter
+                     (fun q ->
+                       Smt.Qcache.note_model q (Solver.capture_model !(eng.e_probe)))
+                     eng.e_qc
+               | exception Smt.Sat.Budget_exhausted -> ()
              end;
              (try dfs eng ~split:None 0 [] st with Stop -> ());
              Solver.flush_stats !(eng.e_solver);

@@ -147,20 +147,6 @@ let prepare ?(opts = Runtime.default_options) ?obs (target : (module Target_intf
   Obs.Timer.add (Obs.Registry.timer obs "oracle.prep_time") prep_time;
   { ctx; prog; target; prep_time; qstore = Smt.Qcache.create_store () }
 
-(* phase 1 as a result: every way the front end can reject a program,
-   captured as data.  [prepare] keeps raising (reconstructed verbatim
-   by [raise_prepare_error]), so existing exception handlers see no
-   change. *)
-let prepare_result ?opts ?obs target source : (prepared, prepare_error) result =
-  match prepare ?opts ?obs target source with
-  | p -> Ok p
-  | exception P4.Lexer.Error (msg, pos) ->
-      Error (Parse_error { msg; line = pos.P4.Ast.line; col = pos.P4.Ast.col })
-  | exception P4.Parser.Error (msg, pos) ->
-      Error (Parse_error { msg; line = pos.P4.Ast.line; col = pos.P4.Ast.col })
-  | exception P4.Typing.Type_error msg -> Error (Type_error msg)
-  | exception Runtime.Exec_error msg -> Error (Arch_error msg)
-
 let initial_state (p : prepared) : Runtime.state =
   let module T = (val p.target) in
   let st = Runtime.initial_state p.ctx ~port_width:T.port_width in
@@ -193,6 +179,27 @@ let instantiate ?(opts = Runtime.default_options) ?obs (p : prepared) :
     (fun ctx st -> T.init ctx (Runtime.next_packet ctx ~port_width:T.port_width st));
   let st = Runtime.initial_state ctx ~port_width:T.port_width in
   (ctx, T.init ctx st)
+
+(* phase 1 as a result: every way the front end can reject a program,
+   captured as data.  [prepare] keeps raising (reconstructed verbatim
+   by [raise_prepare_error]), so existing exception handlers see no
+   change.  One throwaway [instantiate] runs the target's [init], so a
+   program the target cannot instantiate (an unknown block in the
+   package, say) is rejected here rather than by every later request
+   that reuses the prepared value. *)
+let prepare_result ?opts ?obs target source : (prepared, prepare_error) result =
+  match
+    let p = prepare ?opts ?obs target source in
+    ignore (instantiate ?opts p);
+    p
+  with
+  | p -> Ok p
+  | exception P4.Lexer.Error (msg, pos) ->
+      Error (Parse_error { msg; line = pos.P4.Ast.line; col = pos.P4.Ast.col })
+  | exception P4.Parser.Error (msg, pos) ->
+      Error (Parse_error { msg; line = pos.P4.Ast.line; col = pos.P4.Ast.col })
+  | exception P4.Typing.Type_error msg -> Error (Type_error msg)
+  | exception Runtime.Exec_error msg -> Error (Arch_error msg)
 
 (* route the prepared value's query-cache store into the exploration
    config unless the caller wired one explicitly: repeated runs over

@@ -114,7 +114,14 @@ let rec skip_ws lx =
       skip_ws lx
   | _ -> ()
 
-let lex_number lx =
+(* a literal that is malformed ("0x") or does not fit an OCaml int is
+   rejected at its own position *)
+let int_literal pos digits =
+  match int_of_string_opt digits with
+  | Some n -> n
+  | None -> raise (Error ("invalid or too wide integer literal " ^ digits, pos))
+
+let lex_number lx pos =
   let start = lx.pos in
   while (match peek_char lx with Some c -> is_digit c | None -> false) do
     advance lx
@@ -125,7 +132,7 @@ let lex_number lx =
   | Some ('w' | 's') when first <> "" ->
       let signed = peek_char lx = Some 's' in
       advance lx;
-      let width = int_of_string first in
+      let width = int_literal pos first in
       let base, digits_start =
         match (peek_char lx, peek_char2 lx) with
         | Some '0', Some ('x' | 'X') ->
@@ -149,9 +156,9 @@ let lex_number lx =
       let digits = String.concat "" (String.split_on_char '_' digits) in
       let iv =
         match base with
-        | 16 -> int_of_string ("0x" ^ digits)
-        | 2 -> int_of_string ("0b" ^ digits)
-        | _ -> int_of_string digits
+        | 16 -> int_literal pos ("0x" ^ digits)
+        | 2 -> int_literal pos ("0b" ^ digits)
+        | _ -> int_literal pos digits
       in
       NUMBER { iv; width = Some width; signed; base }
   | _ ->
@@ -168,11 +175,11 @@ let lex_number lx =
         let digits = String.sub lx.src ds (lx.pos - ds) in
         let digits = String.concat "" (String.split_on_char '_' digits) in
         let iv =
-          if base = 16 then int_of_string ("0x" ^ digits) else int_of_string ("0b" ^ digits)
+          int_literal pos ((if base = 16 then "0x" else "0b") ^ digits)
         in
         NUMBER { iv; width = None; signed = false; base }
       end
-      else NUMBER { iv = int_of_string first; width = None; signed = false; base = 10 }
+      else NUMBER { iv = int_literal pos first; width = None; signed = false; base = 10 }
 
 let raw_next lx =
   skip_ws lx;
@@ -180,7 +187,7 @@ let raw_next lx =
   let tok =
     match peek_char lx with
     | None -> EOF
-    | Some c when is_digit c -> lex_number lx
+    | Some c when is_digit c -> lex_number lx pos
     | Some c when is_ident_start c ->
         let start = lx.pos in
         while (match peek_char lx with Some c -> is_ident_char c | None -> false) do

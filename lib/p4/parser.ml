@@ -633,6 +633,7 @@ let parse_table p annos =
               match fst (next p) with
               | Lexer.LPAREN -> skip (depth + 1)
               | Lexer.RPAREN -> if depth > 0 then skip (depth - 1)
+              | Lexer.EOF -> err p "unterminated action parameter list"
               | _ -> skip depth
             in
             skip 0

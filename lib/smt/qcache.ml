@@ -129,8 +129,11 @@ type dring = {
   mutable next : int;
 }
 
-let dring_create slots =
-  { slots = Array.make (max 1 slots) None; index = Hashtbl.create 64; next = 0 }
+(* capacity of each digest-set ring, and of each half of the store *)
+let ring_slots = 512
+
+let dring_create () =
+  { slots = Array.make ring_slots None; index = Hashtbl.create 64; next = 0 }
 
 let dring_insert r s =
   let key = dset_key s in
@@ -158,15 +161,13 @@ let dring_insert r s =
 
 type store = {
   st_mu : Mutex.t;
-  st_cap : int;
   st_sat : (string, dset) Hashtbl.t;
   st_unsat : (string, dset) Hashtbl.t;
 }
 
-let create_store ?(slots = 512) () =
+let create_store () =
   {
     st_mu = Mutex.create ();
-    st_cap = max 1 slots;
     st_sat = Hashtbl.create 64;
     st_unsat = Hashtbl.create 64;
   }
@@ -195,6 +196,7 @@ type cond = { q_expr : Expr.t; q_syms : int array; q_digest : string }
 type cells = {
   c_slices : Obs.Counter.t;
   c_model_hits : Obs.Counter.t;
+  c_witness_hits : Obs.Counter.t;
   c_unsat_hits : Obs.Counter.t;
   c_subsumed : Obs.Counter.t;
   c_avoided : Obs.Counter.t;
@@ -205,6 +207,7 @@ let make_cells reg =
   {
     c_slices = Obs.Registry.counter reg "qcache.slices";
     c_model_hits = Obs.Registry.counter reg "qcache.model_hits";
+    c_witness_hits = Obs.Registry.counter reg "qcache.witness_hits";
     c_unsat_hits = Obs.Registry.counter reg "qcache.unsat_hits";
     c_subsumed = Obs.Registry.counter reg "qcache.subsumed";
     c_avoided = Obs.Registry.counter reg "qcache.solver_checks_avoided";
@@ -243,9 +246,8 @@ let seed_from_store t =
             (fun _ s -> add_bytes t (dring_insert t.unsat_sets s))
             st.st_unsat)
 
-let create ?obs ?(slots = 512) ?store () =
+let create ?obs ?store () =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let slots = max 1 slots in
   let t =
     {
       cells = make_cells reg;
@@ -254,8 +256,8 @@ let create ?obs ?(slots = 512) ?store () =
       spine = [];
       models = Array.make model_ring_len None;
       mnext = 0;
-      sat_sets = dring_create slots;
-      unsat_sets = dring_create slots;
+      sat_sets = dring_create ();
+      unsat_sets = dring_create ();
       bytes = 0;
       store;
       last_slice = None;
@@ -273,7 +275,6 @@ let create ?obs ?(slots = 512) ?store () =
    its own base. *)
 let clone ?obs parent =
   let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let slots = Array.length parent.sat_sets.slots in
   let t =
     {
       cells = make_cells reg;
@@ -282,8 +283,8 @@ let clone ?obs parent =
       spine = [];
       models = Array.make model_ring_len None;
       mnext = 0;
-      sat_sets = dring_create slots;
-      unsat_sets = dring_create slots;
+      sat_sets = dring_create ();
+      unsat_sets = dring_create ();
       bytes = 0;
       store = parent.store;
       last_slice = None;
@@ -489,7 +490,7 @@ let check t (e : Expr.t) : verdict =
         else if witness_sat (e :: List.map (fun c -> c.q_expr) slice) then begin
           (* a derived assignment verified against the whole slice is
              as good a witness as a cached solver model *)
-          Obs.Counter.incr t.cells.c_model_hits;
+          Obs.Counter.incr t.cells.c_witness_hits;
           Obs.Counter.incr t.cells.c_avoided;
           add_bytes t (dring_insert t.sat_sets sdset);
           Sat_hit
@@ -529,7 +530,7 @@ let publish t =
       Mutex.protect st.st_mu (fun () ->
           let put tbl s =
             let key = dset_key s in
-            if (not (Hashtbl.mem tbl key)) && Hashtbl.length tbl < st.st_cap then
+            if (not (Hashtbl.mem tbl key)) && Hashtbl.length tbl < ring_slots then
               Hashtbl.add tbl key s
           in
           Array.iter

@@ -25,20 +25,22 @@ type store
 (** Cross-run shared state: SAT/UNSAT digest sets are
     context-independent facts about a program's constraints, so a
     serve daemon shares them between requests for the same
-    fingerprint.  Thread-safe; bounded by its [slots]. *)
+    fingerprint.  Thread-safe; holds at most 512 SAT and 512 UNSAT
+    sets. *)
 
-val create_store : ?slots:int -> unit -> store
+val create_store : unit -> store
 
 val store_entries : store -> int
 (** Number of digest sets currently held (tests/diagnostics). *)
 
-val create : ?obs:Obs.Registry.t -> ?slots:int -> ?store:store -> unit -> t
-(** A fresh cache reporting into [obs] ([qcache.slices],
-    [qcache.model_hits], [qcache.unsat_hits], [qcache.subsumed],
-    [qcache.solver_checks_avoided] counters and the [qcache.bytes]
-    gauge).  [slots] (default 512) bounds each digest-set ring.  When
-    [store] is given, the cache seeds from it at creation; call
-    {!publish} to fold new entries back. *)
+val create : ?obs:Obs.Registry.t -> ?store:store -> unit -> t
+(** A fresh cache reporting into [obs] ([qcache.slices] and one hit
+    counter per layer — [qcache.subsumed], [qcache.model_hits],
+    [qcache.unsat_hits], [qcache.witness_hits] — plus the
+    [qcache.solver_checks_avoided] counter and the [qcache.bytes]
+    gauge).  Each digest-set ring holds 512 sets.  When [store] is
+    given, the cache seeds from it at creation; call {!publish} to
+    fold new entries back. *)
 
 val clone : ?obs:Obs.Registry.t -> t -> t
 (** A task-handoff copy: digest sets and captured models carry over,
@@ -59,9 +61,10 @@ val pop : t -> unit
 val check : t -> Expr.t -> verdict
 (** [check t c]: would asserting [c] on top of the active path keep it
     satisfiable?  [Sat_hit]/[Unsat_hit] are definitive (they agree
-    with what the solver would say); on [Unknown] the caller must run
-    a real check and then call {!note_sat} or {!note_unsat} before the
-    next {!check}/{!push}/{!pop} on [t]. *)
+    with what the solver would say); on [Unknown] the caller runs a
+    real check and then calls {!note_sat} or {!note_unsat} before the
+    next {!check}/{!push}/{!pop} on [t] — or neither, when the check
+    ran out of budget: an unknown verdict is never recorded. *)
 
 val note_sat : t -> Solver.model option -> unit
 (** The real check of path ∪ {c} returned Sat: records the active

@@ -8,38 +8,20 @@
      blocker skips the watcher without touching the clause at all.
    - Binary clauses live in a dedicated watch layer that stores the
      implied literal inline, so propagating them reads one int.
-   - Learnt clauses are scored by LBD ("glue": distinct decision
-     levels at learning time); the database is periodically halved,
-     keeping glue <= 2, binary, and locked clauses.
    - 1UIP clauses are shrunk by recursive self-subsumption before
-     being recorded.
+     being recorded, and learnt clauses are kept for good: the path
+     constraints this solver sees are easy (at most about a hundred
+     conflicts per solve), so the database is never reduced.
+   - A solve restarts every [restart_interval] conflicts.
    - Phase saving keeps the last assigned polarity per variable, and
      the full assignment of the last satisfying model is replayed as
-     the preferred phase of later solves (target phases). *)
+     the preferred phase of later solves (target phases).
+   - One solve gives up after [conflict_budget] conflicts, so a hard
+     query costs a bounded amount of work. *)
 
-type clause = {
-  lits : int array;
-  learnt : bool;
-  mutable deleted : bool;
-  mutable lbd : int; (* glue at learning time; 0 for problem clauses *)
-}
-
-type options = {
-  o_phase_saving : bool;  (** save assigned polarities on backtrack *)
-  o_target_phase : bool;  (** replay the last model as preferred phases *)
-  o_reduce_db : bool;  (** periodically halve the learnt database *)
-  o_minimise : bool;  (** recursive self-subsumption on 1UIP clauses *)
-  o_reduce_init : int;  (** learnt clauses tolerated before the first reduction *)
-}
-
-let default_options =
-  {
-    o_phase_saving = true;
-    o_target_phase = true;
-    o_reduce_db = true;
-    o_minimise = true;
-    o_reduce_init = 4000;
-  }
+(* a clause is its literal array; [propagate] reorders it in place so
+   that the watched literals come first *)
+type clause = int array
 
 (* Growable array *)
 module Vec = struct
@@ -64,8 +46,6 @@ module Vec = struct
   let pop v = v.len <- v.len - 1; Array.unsafe_get v.data v.len
 end
 
-let dummy_clause = { lits = [||]; learnt = false; deleted = false; lbd = 0 }
-
 (* Watch list: parallel arrays of clause and companion literal, scanned
    and compacted in place.  For long clauses the companion is a
    blocking literal (any other literal of the clause); for the binary
@@ -78,7 +58,7 @@ module Wl = struct
   let push w c l =
     if w.len = Array.length w.cls then begin
       let n = if w.len = 0 then 4 else 2 * w.len in
-      let cls = Array.make n dummy_clause and lit = Array.make n 0 in
+      let cls = Array.make n [||] and lit = Array.make n 0 in
       Array.blit w.cls 0 cls 0 w.len;
       Array.blit w.lit 0 lit 0 w.len;
       w.cls <- cls;
@@ -92,8 +72,6 @@ end
 type t = {
   mutable nvars : int;
   mutable ok : bool;
-  mutable clause_count : int;
-  opts : options;
   (* per-literal watch lists: long clauses and a binary layer *)
   mutable watches : Wl.t array;
   mutable bin_watches : Wl.t array;
@@ -117,12 +95,6 @@ type t = {
      unassigned is sound and keeps solves proportional to the active
      instance rather than to every variable ever allocated *)
   mutable constrained : bool array;
-  (* learned clauses, for periodic database reduction *)
-  learnts : clause Vec.t;
-  mutable reduce_limit : int;
-  (* LBD computation scratch: per-level stamps *)
-  mutable lbd_stamp : int array;
-  mutable lbd_stamp_n : int;
   (* stats *)
   mutable decisions : int;
   mutable propagations : int;
@@ -130,8 +102,6 @@ type t = {
   mutable restarts : int;
   mutable learnt_clauses : int;
   mutable learnt_literals : int;
-  mutable db_reductions : int;
-  mutable kept_glue : int;
   mutable minimised_literals : int;
   (* scratch *)
   mutable seen : bool array;
@@ -144,17 +114,13 @@ type counters = {
   c_restarts : int;
   c_learnt_clauses : int;
   c_learnt_literals : int;
-  c_db_reductions : int;
-  c_kept_glue : int;
   c_minimised_literals : int;
 }
 
-let create ?(options = default_options) () =
+let create () =
   {
     nvars = 0;
     ok = true;
-    clause_count = 0;
-    opts = options;
     watches = Array.init 2 (fun _ -> Wl.create ());
     bin_watches = Array.init 2 (fun _ -> Wl.create ());
     assign = Array.make 1 0;
@@ -170,18 +136,12 @@ let create ?(options = default_options) () =
     trail_lim = Vec.create 0;
     qhead = 0;
     constrained = Array.make 1 false;
-    learnts = Vec.create dummy_clause;
-    reduce_limit = options.o_reduce_init;
-    lbd_stamp = Array.make 1 0;
-    lbd_stamp_n = 0;
     decisions = 0;
     propagations = 0;
     conflicts = 0;
     restarts = 0;
     learnt_clauses = 0;
     learnt_literals = 0;
-    db_reductions = 0;
-    kept_glue = 0;
     minimised_literals = 0;
     seen = Array.make 1 false;
   }
@@ -193,8 +153,6 @@ let var_of l = l lsr 1
 let sign l = l land 1 = 1
 
 let nvars s = s.nvars
-let nclauses s = s.clause_count
-let stats s = (s.decisions, s.propagations, s.conflicts)
 
 let counters s =
   {
@@ -204,8 +162,6 @@ let counters s =
     c_restarts = s.restarts;
     c_learnt_clauses = s.learnt_clauses;
     c_learnt_literals = s.learnt_literals;
-    c_db_reductions = s.db_reductions;
-    c_kept_glue = s.kept_glue;
     c_minimised_literals = s.minimised_literals;
   }
 
@@ -288,8 +244,6 @@ let new_var s =
   s.heap_pos <- grow_array s.heap_pos (v + 1) (-1);
   s.seen <- grow_array s.seen (v + 1) false;
   s.constrained <- grow_array s.constrained (v + 1) false;
-  (* decision levels are bounded by the number of variables *)
-  s.lbd_stamp <- grow_array s.lbd_stamp (v + 2) 0;
   let nlits = 2 * (v + 1) in
   if Array.length s.watches < nlits then begin
     let grow w =
@@ -343,12 +297,11 @@ let mark_constrained s v =
 let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = Vec.get s.trail_lim lvl in
-    let save = s.opts.o_phase_saving in
     for i = Vec.len s.trail - 1 downto bound do
       let l = Vec.get s.trail i in
       let v = var_of l in
       s.assign.(v) <- 0;
-      if save then s.polarity.(v) <- not (sign l);
+      s.polarity.(v) <- not (sign l);
       s.reason.(v) <- None;
       heap_insert s v
     done;
@@ -364,13 +317,13 @@ let watch s l c blocker = Wl.push s.watches.(l) c blocker
 let attach s c =
   (* watch the negations of the first two literals; binary clauses go
      to the dedicated layer that stores the implied literal inline *)
-  if Array.length c.lits = 2 then begin
-    Wl.push s.bin_watches.(negate c.lits.(0)) c c.lits.(1);
-    Wl.push s.bin_watches.(negate c.lits.(1)) c c.lits.(0)
+  if Array.length c = 2 then begin
+    Wl.push s.bin_watches.(negate c.(0)) c c.(1);
+    Wl.push s.bin_watches.(negate c.(1)) c c.(0)
   end
   else begin
-    watch s (negate c.lits.(0)) c c.lits.(1);
-    watch s (negate c.lits.(1)) c c.lits.(0)
+    watch s (negate c.(0)) c c.(1);
+    watch s (negate c.(1)) c c.(0)
   end
 
 exception Conflict of clause
@@ -396,9 +349,9 @@ let propagate s =
         else if v = 0 then begin
           let c = Array.unsafe_get bw.Wl.cls i in
           (* conflict analysis expects the propagated literal first *)
-          if c.lits.(0) <> o then begin
-            c.lits.(0) <- o;
-            c.lits.(1) <- negate p
+          if c.(0) <> o then begin
+            c.(0) <- o;
+            c.(1) <- negate p
           end;
           enqueue s o (Some c)
         end
@@ -421,54 +374,51 @@ let propagate s =
         else begin
           let c = Array.unsafe_get ws.Wl.cls !i in
           incr i;
-          if c.deleted then ()  (* lazily drop deleted clauses *)
+          (* make sure the false literal is c.(1) *)
+          let falsel = negate p in
+          if c.(0) = falsel then begin
+            c.(0) <- c.(1);
+            c.(1) <- falsel
+          end;
+          let first = c.(0) in
+          if first <> blocker && lit_val s first = 1 then begin
+            (* clause satisfied; keep watch, remember the witness *)
+            Array.unsafe_set ws.Wl.cls !j c;
+            Array.unsafe_set ws.Wl.lit !j first;
+            incr j
+          end
           else begin
-            (* make sure the false literal is lits.(1) *)
-            let falsel = negate p in
-            if c.lits.(0) = falsel then begin
-              c.lits.(0) <- c.lits.(1);
-              c.lits.(1) <- falsel
-            end;
-            let first = c.lits.(0) in
-            if first <> blocker && lit_val s first = 1 then begin
-              (* clause satisfied; keep watch, remember the witness *)
+            (* look for a new literal to watch *)
+            let len = Array.length c in
+            let k = ref 2 in
+            let found = ref false in
+            while (not !found) && !k < len do
+              if lit_val s c.(!k) <> 2 then begin
+                c.(1) <- c.(!k);
+                c.(!k) <- falsel;
+                watch s (negate c.(1)) c first;
+                found := true
+              end;
+              incr k
+            done;
+            if not !found then begin
+              (* unit or conflicting *)
               Array.unsafe_set ws.Wl.cls !j c;
               Array.unsafe_set ws.Wl.lit !j first;
-              incr j
-            end
-            else begin
-              (* look for a new literal to watch *)
-              let len = Array.length c.lits in
-              let k = ref 2 in
-              let found = ref false in
-              while (not !found) && !k < len do
-                if lit_val s c.lits.(!k) <> 2 then begin
-                  c.lits.(1) <- c.lits.(!k);
-                  c.lits.(!k) <- falsel;
-                  watch s (negate c.lits.(1)) c first;
-                  found := true
-                end;
-                incr k
-              done;
-              if not !found then begin
-                (* unit or conflicting *)
-                Array.unsafe_set ws.Wl.cls !j c;
-                Array.unsafe_set ws.Wl.lit !j first;
-                incr j;
-                if lit_val s first = 2 then begin
-                  (* conflict: copy remaining watches and raise *)
-                  while !i < n do
-                    Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
-                    Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
-                    incr i;
-                    incr j
-                  done;
-                  ws.Wl.len <- !j;
-                  s.qhead <- Vec.len s.trail;
-                  raise (Conflict c)
-                end
-                else enqueue s first (Some c)
+              incr j;
+              if lit_val s first = 2 then begin
+                (* conflict: copy remaining watches and raise *)
+                while !i < n do
+                  Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
+                  Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
+                  incr i;
+                  incr j
+                done;
+                ws.Wl.len <- !j;
+                s.qhead <- Vec.len s.trail;
+                raise (Conflict c)
               end
+              else enqueue s first (Some c)
             end
           end
         end
@@ -496,32 +446,11 @@ let add_clause s lits =
           enqueue s l None;
           if propagate s <> None then s.ok <- false
       | _ ->
-          let c = { lits = Array.of_list lits; learnt = false; deleted = false; lbd = 0 } in
-          s.clause_count <- s.clause_count + 1;
-          attach s c
+          attach s (Array.of_list lits)
     end
   end
 
 (* -------------------- conflict analysis ---------------------------- *)
-
-(* LBD ("glue") of a clause: distinct decision levels among its
-   literals, counted with per-level stamps *)
-let compute_lbd s lits =
-  (* levels can exceed nvars when redundant assumption levels pile up *)
-  let max_lvl = decision_level s in
-  if max_lvl >= Array.length s.lbd_stamp then
-    s.lbd_stamp <- grow_array s.lbd_stamp (max_lvl + 1) 0;
-  s.lbd_stamp_n <- s.lbd_stamp_n + 1;
-  let st = s.lbd_stamp_n in
-  List.fold_left
-    (fun acc l ->
-      let lvl = s.level.(var_of l) in
-      if lvl > 0 && s.lbd_stamp.(lvl) <> st then begin
-        s.lbd_stamp.(lvl) <- st;
-        acc + 1
-      end
-      else acc)
-    0 lits
 
 let abstract_level s v = 1 lsl (s.level.(v) land 31)
 
@@ -541,10 +470,10 @@ let lit_redundant s abstract_levels to_clear l =
         | Some c ->
             let ok = ref true in
             let stack = ref rest in
-            let len = Array.length c.lits in
+            let len = Array.length c in
             let k = ref 1 in
             while !ok && !k < len do
-              let l' = c.lits.(!k) in
+              let l' = c.(!k) in
               let v = var_of l' in
               if (not s.seen.(v)) && s.level.(v) > 0 then begin
                 if s.reason.(v) <> None && abstract_level s v land abstract_levels <> 0
@@ -597,8 +526,8 @@ let analyze s confl =
     | None -> assert false
     | Some c ->
         let start = if !p = -1 then 0 else 1 in
-        for k = start to Array.length c.lits - 1 do
-          let q = c.lits.(k) in
+        for k = start to Array.length c - 1 do
+          let q = c.(k) in
           let v = var_of q in
           if (not s.seen.(v)) && s.level.(v) > 0 then begin
             s.seen.(v) <- true;
@@ -621,7 +550,7 @@ let analyze s confl =
   done;
   let tail0 = !learnt in
   let tail =
-    if s.opts.o_minimise && tail0 <> [] then begin
+    if tail0 <> [] then begin
       let tail, removed = minimise s tail0 in
       s.minimised_literals <- s.minimised_literals + removed;
       tail
@@ -629,15 +558,13 @@ let analyze s confl =
     else tail0
   in
   let learnt = negate !p :: tail in
-  (* glue is measured before backjumping invalidates the levels *)
-  let lbd = compute_lbd s learnt in
   (* clear seen (removed literals stay marked in tail0) *)
   List.iter (fun l -> s.seen.(var_of l) <- false) tail0;
   s.seen.(var_of !p) <- false;
   (* compute backtrack level = max level among learnt tail *)
   match learnt with
   | [] -> assert false
-  | [ _ ] -> (learnt, 0, lbd)
+  | [ _ ] -> (learnt, 0)
   | first :: rest ->
       let max_lit =
         List.fold_left
@@ -646,9 +573,9 @@ let analyze s confl =
       in
       (* move max to second position *)
       let rest = max_lit :: List.filter (fun l -> l <> max_lit) rest in
-      (first :: rest, s.level.(var_of max_lit), lbd)
+      (first :: rest, s.level.(var_of max_lit))
 
-let record_learnt s lits lbd =
+let record_learnt s lits =
   (match lits with
   | [] -> ()
   | ls ->
@@ -660,65 +587,13 @@ let record_learnt s lits lbd =
       (* Unit learnt clause.  Give it a self-reason so that conflict
          analysis never expands a reasonless literal mid-level (the
          1-literal reason contributes nothing and terminates cleanly). *)
-      enqueue s l (Some { lits = [| l |]; learnt = true; deleted = false; lbd = 0 })
+      enqueue s l (Some [| l |])
   | _ ->
-      let c = { lits = Array.of_list lits; learnt = true; deleted = false; lbd } in
-      s.clause_count <- s.clause_count + 1;
-      Vec.push s.learnts c;
+      let c = Array.of_list lits in
       attach s c;
-      enqueue s c.lits.(0) (Some c)
+      enqueue s c.(0) (Some c)
 
 (* -------------------- search --------------------------------------- *)
-
-(* a clause is locked while it is the reason of an assignment *)
-let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
-  s.assign.(v) <> 0 && (match s.reason.(v) with Some r -> r == c | None -> false)
-
-(* periodically halve the learnt database, dropping high-glue clauses
-   first; glue (LBD <= 2), binary, and locked clauses always survive *)
-let reduce_db s =
-  if s.opts.o_reduce_db then begin
-    let n = Vec.len s.learnts in
-    if n > s.reduce_limit then begin
-      s.db_reductions <- s.db_reductions + 1;
-      let kept = ref [] in
-      let removable = ref [] in
-      for i = 0 to n - 1 do
-        let c = Vec.get s.learnts i in
-        if c.deleted then ()
-        else if Array.length c.lits <= 2 || c.lbd <= 2 || locked s c then begin
-          if c.lbd <= 2 then s.kept_glue <- s.kept_glue + 1;
-          kept := c :: !kept
-        end
-        else removable := c :: !removable
-      done;
-      (* [removable] is newest-first; a stable sort keeps recent
-         clauses ahead of old ones within each glue class *)
-      let sorted = List.stable_sort (fun a b -> compare a.lbd b.lbd) !removable in
-      let keep_n = List.length sorted / 2 in
-      List.iteri
-        (fun i c ->
-          if i < keep_n then kept := c :: !kept
-          else begin
-            c.deleted <- true;
-            s.clause_count <- s.clause_count - 1
-          end)
-        sorted;
-      Vec.shrink s.learnts 0;
-      List.iter (Vec.push s.learnts) (List.rev !kept);
-      s.reduce_limit <- s.reduce_limit + (s.reduce_limit / 2)
-    end
-  end
-
-let rec luby i =
-  (* Luby sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
-  let rec pow2 k = if k = 0 then 1 else 2 * pow2 (k - 1) in
-  let rec find k = if pow2 k - 1 >= i then k else find (k + 1) in
-  let k = find 1 in
-  if pow2 k - 1 = i then pow2 (k - 1) else luby (i - pow2 (k - 1) + 1)
 
 let pick_branch s =
   let rec go () =
@@ -731,14 +606,21 @@ let pick_branch s =
 
 exception Unsat
 exception Sat_found
+exception Budget_exhausted
+
+let conflict_budget = 10_000
+
+(* a search that began by deciding a circuit's internal wires before its
+   inputs starts over, keeping what it learnt (see DESIGN.md) *)
+let restart_interval = 100
 
 let solve ?(assumptions = []) s =
   if not s.ok then false
   else begin
     cancel_until s 0;
     let assumptions = Array.of_list assumptions in
-    let conflicts_budget = ref 100 in
-    let restart_count = ref 0 in
+    let budget_end = s.conflicts + conflict_budget in
+    let next_restart = ref (s.conflicts + restart_interval) in
     try
       let rec search () =
         match propagate s with
@@ -751,17 +633,20 @@ let solve ?(assumptions = []) s =
               if decision_level s = 0 then s.ok <- false;
               raise Unsat
             end;
-            reduce_db s;
-            let learnt, back_lvl, lbd = analyze s confl in
+            let learnt, back_lvl = analyze s confl in
             let back_lvl = max back_lvl (min (Array.length assumptions) (decision_level s - 1)) in
             cancel_until s back_lvl;
-            record_learnt s learnt lbd;
+            record_learnt s learnt;
             var_decay s;
-            decr conflicts_budget;
-            if !conflicts_budget <= 0 then begin
-              incr restart_count;
+            if s.conflicts >= budget_end then begin
+              (* the learnt clauses stay: they are implied by the
+                 clause database, so later solves may use them *)
+              cancel_until s 0;
+              raise Budget_exhausted
+            end;
+            if s.conflicts >= !next_restart then begin
+              next_restart := s.conflicts + restart_interval;
               s.restarts <- s.restarts + 1;
-              conflicts_budget := 100 * luby (!restart_count + 1);
               cancel_until s (min (Array.length assumptions) (decision_level s))
             end;
             search ()
@@ -788,7 +673,7 @@ let solve ?(assumptions = []) s =
                   Vec.push s.trail_lim (Vec.len s.trail);
                   let ph =
                     let t = s.target.(v) in
-                    if s.opts.o_target_phase && t <> 0 then t = 1 else s.polarity.(v)
+                    if t <> 0 then t = 1 else s.polarity.(v)
                   in
                   enqueue s (if ph then pos v else neg v) None;
                   search ()
@@ -797,11 +682,10 @@ let solve ?(assumptions = []) s =
       search ()
     with
     | Sat_found ->
-        if s.opts.o_target_phase then
-          (* remember the model as the preferred phases of later solves *)
-          for v = 0 to s.nvars - 1 do
-            s.target.(v) <- s.assign.(v)
-          done;
+        (* remember the model as the preferred phases of later solves *)
+        for v = 0 to s.nvars - 1 do
+          s.target.(v) <- s.assign.(v)
+        done;
         true
     | Unsat ->
         cancel_until s 0;
@@ -812,7 +696,7 @@ let set_polarity s v b =
   if v < s.nvars then begin
     s.polarity.(v) <- b;
     (* a fresh suggestion outranks the stale model phase *)
-    if s.opts.o_target_phase then s.target.(v) <- (if b then 1 else 2)
+    s.target.(v) <- (if b then 1 else 2)
   end
 
 let backtrack s = cancel_until s 0
@@ -825,12 +709,10 @@ let snapshot s = Array.sub s.assign 0 s.nvars
    level-0 trail — so a forked exploration starts with everything the
    parent learnt instead of an empty solver.
 
-   Clause records are mutable ([deleted], [lbd]) and aliased: the two
-   watchers of a clause, its learnts-vector slot, and (transiently)
-   blocking-literal slots all reference the same record, and
-   [propagate] swaps [lits] in place.  The copy therefore goes
-   through an identity-keyed memo table so every alias in the clone
-   points at the clone's own copy of the record.
+   Clauses are aliased (both watchers of a clause reference the same
+   array) and [propagate] permutes them in place.  The copy therefore
+   goes through an identity-keyed memo table so every alias in the
+   clone points at the clone's own copy of the array.
 
    Only a solver at decision level 0 can be cloned: reasons are
    dropped ([analyze]/[lit_redundant] never consult reasons of
@@ -841,7 +723,7 @@ module Clause_tbl = Hashtbl.Make (struct
   type t = clause
 
   let equal = ( == )
-  let hash c = Hashtbl.hash c.lits
+  let hash = Hashtbl.hash
 end)
 
 let clone s =
@@ -849,14 +731,12 @@ let clone s =
     invalid_arg "Sat.clone: solver not at decision level 0";
   let memo = Clause_tbl.create 4096 in
   let copy_clause c =
-    if c == dummy_clause then dummy_clause
-    else
-      match Clause_tbl.find_opt memo c with
-      | Some c' -> c'
-      | None ->
-          let c' = { c with lits = Array.copy c.lits } in
-          Clause_tbl.add memo c c';
-          c'
+    match Clause_tbl.find_opt memo c with
+    | Some c' -> c'
+    | None ->
+        let c' = Array.copy c in
+        Clause_tbl.add memo c c';
+        c'
   in
   let copy_wl (w : Wl.t) : Wl.t =
     {
@@ -868,20 +748,9 @@ let clone s =
   let copy_int_vec (v : int Vec.t) : int Vec.t =
     { data = Array.copy v.data; len = v.len; dummy = v.dummy }
   in
-  let copy_learnts (v : clause Vec.t) : clause Vec.t =
-    {
-      data =
-        Array.init (Array.length v.data) (fun i ->
-            if i < v.len then copy_clause (Vec.get v i) else v.dummy);
-      len = v.len;
-      dummy = v.dummy;
-    }
-  in
   {
     nvars = s.nvars;
     ok = s.ok;
-    clause_count = s.clause_count;
-    opts = s.opts;
     watches = Array.map copy_wl s.watches;
     bin_watches = Array.map copy_wl s.bin_watches;
     assign = Array.copy s.assign;
@@ -898,18 +767,12 @@ let clone s =
     trail_lim = copy_int_vec s.trail_lim;
     qhead = s.qhead;
     constrained = Array.copy s.constrained;
-    learnts = copy_learnts s.learnts;
-    reduce_limit = s.reduce_limit;
-    lbd_stamp = Array.make (Array.length s.lbd_stamp) 0;
-    lbd_stamp_n = 0;
     decisions = 0;
     propagations = 0;
     conflicts = 0;
     restarts = 0;
     learnt_clauses = 0;
     learnt_literals = 0;
-    db_reductions = 0;
-    kept_glue = 0;
     minimised_literals = 0;
     seen = Array.make (Array.length s.seen) false;
   }

@@ -1,9 +1,14 @@
 (** A CDCL SAT solver (two-watched-literal propagation with blocking
     literals and a dedicated binary-clause watch layer, VSIDS decision
     heuristic, first-UIP clause learning with recursive self-subsumption
-    minimisation, LBD-scored learnt-clause database reduction, phase
-    saving with target-phase reuse, Luby restarts, solving under
-    assumptions).
+    minimisation, phase saving with target-phase reuse, restarts every
+    100 conflicts, solving under assumptions, a conflict budget per
+    solve).
+
+    Learnt clauses are kept for the solver's lifetime: the path
+    constraints of test generation are easy (at most about a hundred
+    conflicts per solve on the measured workloads), and the budget
+    bounds the rare hard one.
 
     Literals are integers: variable [v]'s positive literal is [2 * v],
     its negation [2 * v + 1].  Variables must be allocated with
@@ -11,34 +16,12 @@
 
 type t
 
-type options = {
-  o_phase_saving : bool;
-      (** save the assigned polarity of each variable on backtrack and
-          reuse it as the branching phase (default [true]) *)
-  o_target_phase : bool;
-      (** after a satisfiable solve, replay the model's polarities as
-          the preferred phases of later solves (default [true]) *)
-  o_reduce_db : bool;
-      (** periodically halve the learnt-clause database, dropping
-          high-glue clauses first (default [true]) *)
-  o_minimise : bool;
-      (** shrink 1UIP clauses by recursive self-subsumption before
-          recording them (default [true]) *)
-  o_reduce_init : int;
-      (** learnt clauses tolerated before the first database
-          reduction; the limit then grows geometrically
-          (default [4000]) *)
-}
-
-val default_options : options
-
-val create : ?options:options -> unit -> t
+val create : unit -> t
 
 val new_var : t -> int
 (** Allocates a variable and returns its index. *)
 
 val nvars : t -> int
-val nclauses : t -> int
 
 val pos : int -> int
 (** [pos v] is variable [v]'s positive literal. *)
@@ -53,10 +36,19 @@ val add_clause : t -> int list -> unit
 (** Adds a clause.  Adding the empty clause (or a clause falsified at
     level 0) makes the instance permanently unsatisfiable. *)
 
+exception Budget_exhausted
+
+val conflict_budget : int
+(** Conflicts one {!solve} may spend before it gives up (10,000). *)
+
 val solve : ?assumptions:int list -> t -> bool
 (** [solve s ~assumptions] is [true] iff the clauses are satisfiable
     together with the assumption literals.  The solver state persists:
-    learned clauses are kept across calls (incremental solving). *)
+    learned clauses are kept across calls (incremental solving).
+
+    Raises {!Budget_exhausted} after {!conflict_budget} conflicts in
+    this call, with the solver back at decision level 0: the answer is
+    unknown, and the solver stays usable for other queries. *)
 
 val set_polarity : t -> int -> bool -> unit
 (** [set_polarity s v b] makes the solver try [v = b] first when
@@ -86,18 +78,13 @@ val value : t -> int -> bool
 
 val lit_value : t -> int -> bool
 
-val stats : t -> int * int * int
-(** (decisions, propagations, conflicts) since creation. *)
-
 type counters = {
   c_decisions : int;
   c_propagations : int;
   c_conflicts : int;
-  c_restarts : int;  (** Luby restarts performed *)
-  c_learnt_clauses : int;  (** clauses learned (unit learnts included) *)
+  c_restarts : int;
+  c_learnt_clauses : int;  (** clauses learned, unit clauses included *)
   c_learnt_literals : int;  (** total literals across learned clauses *)
-  c_db_reductions : int;  (** learnt-database reduction passes *)
-  c_kept_glue : int;  (** clauses kept across reductions for glue <= 2 *)
   c_minimised_literals : int;
       (** literals removed from 1UIP clauses by self-subsumption *)
 }

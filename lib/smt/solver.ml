@@ -15,8 +15,6 @@ type metrics = {
   m_restarts : Obs.Counter.t;
   m_learnt_clauses : Obs.Counter.t;
   m_learnt_literals : Obs.Counter.t;
-  m_db_reductions : Obs.Counter.t;
-  m_kept_glue : Obs.Counter.t;
   m_minimised_literals : Obs.Counter.t;
   m_cache_hits : Obs.Counter.t;
   m_cache_misses : Obs.Counter.t;
@@ -43,8 +41,6 @@ type t = {
      SAT core left the bit unassigned (unconstrained vars are no longer
      decided at all) *)
   suggestions : (int, Bitv.Bits.t) Hashtbl.t;
-  mutable checks : int;
-  mutable time : float;
 }
 
 let make_metrics obs ectx sat =
@@ -60,8 +56,6 @@ let make_metrics obs ectx sat =
     m_restarts = c "sat.restarts";
     m_learnt_clauses = c "sat.learnt_clauses";
     m_learnt_literals = c "sat.learnt_literals";
-    m_db_reductions = c "sat.db_reductions";
-    m_kept_glue = c "sat.kept_glue";
     m_minimised_literals = c "sat.minimised_literals";
     m_cache_hits = c "blast.cache_hits";
     m_cache_misses = c "blast.cache_misses";
@@ -86,8 +80,6 @@ let create ?obs ectx =
     scopes = [];
     model_snap = [||];
     suggestions = Hashtbl.create 256;
-    checks = 0;
-    time = 0.0;
   }
 
 let obs s = s.metrics.m_obs
@@ -111,8 +103,6 @@ let clone ?obs ~ectx s =
     scopes = [];
     model_snap = Array.copy s.model_snap;
     suggestions = Hashtbl.copy s.suggestions;
-    checks = 0;
-    time = 0.0;
   }
 
 let flush_stats s =
@@ -124,8 +114,6 @@ let flush_stats s =
   Obs.Counter.add m.m_restarts (c.Sat.c_restarts - last.Sat.c_restarts);
   Obs.Counter.add m.m_learnt_clauses (c.Sat.c_learnt_clauses - last.Sat.c_learnt_clauses);
   Obs.Counter.add m.m_learnt_literals (c.Sat.c_learnt_literals - last.Sat.c_learnt_literals);
-  Obs.Counter.add m.m_db_reductions (c.Sat.c_db_reductions - last.Sat.c_db_reductions);
-  Obs.Counter.add m.m_kept_glue (c.Sat.c_kept_glue - last.Sat.c_kept_glue);
   Obs.Counter.add m.m_minimised_literals
     (c.Sat.c_minimised_literals - last.Sat.c_minimised_literals);
   m.m_last_sat <- c;
@@ -137,8 +125,6 @@ let flush_stats s =
   let rw = Expr.rewrite_hits s.ectx in
   Obs.Counter.add m.m_rewrite_hits (rw - m.m_last_rewrites);
   m.m_last_rewrites <- rw
-
-let scope_depth s = List.length s.scopes
 
 let push s =
   Sat.backtrack s.sat;
@@ -169,15 +155,19 @@ let assert_ s e =
   | [] -> Sat.add_clause s.sat [ l ]
   | g :: _ -> Sat.add_clause s.sat [ Sat.negate g; l ]
 
+(* a check cut by the SAT core's conflict budget still counts: its
+   time and counters are recorded before [Sat.Budget_exhausted]
+   reaches the caller *)
 let run s assumptions =
-  s.checks <- s.checks + 1;
   Obs.Counter.incr s.metrics.m_checks;
   let t0 = Obs.Clock.now () in
-  let r = Sat.solve ~assumptions s.sat in
-  let dt = Obs.Clock.now () -. t0 in
-  s.time <- s.time +. dt;
-  Obs.Timer.add s.metrics.m_time dt;
-  flush_stats s;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Timer.add s.metrics.m_time (Obs.Clock.now () -. t0);
+        flush_stats s)
+      (fun () -> Sat.solve ~assumptions s.sat)
+  in
   if r then begin
     s.model_snap <- Sat.snapshot s.sat;
     Sat
@@ -324,6 +314,3 @@ let model_holds m e = Bits.is_ones (frozen_eval m e)
 (* snapshot words plus a fixed overhead for the record/blast pointer;
    used only for the qcache.bytes gauge, precision is not needed *)
 let model_bytes m = (Array.length m.m_snap * 8) + 64
-
-let num_checks s = s.checks
-let solve_time s = s.time

@@ -20,15 +20,14 @@ val create : ?obs:Obs.Registry.t -> Expr.ctx -> t
     one is allocated when omitted): the [solver.checks] counter and
     [solver.time] timer, the [solver.scope_depth_hw] high-water gauge,
     the [sat.*] search counters (decisions, propagations, conflicts,
-    restarts, learnt clauses/literals, db_reductions, kept_glue,
-    minimised_literals), the [blast.cache_*] term-cache counters and
-    the [rewrite.hits] word-level-rewrite counter.  Several solvers may
-    share a registry — e.g. across explorer rebuilds — and their
-    contributions accumulate.
+    restarts, learnt clauses/literals, minimised_literals), the
+    [blast.cache_*] term-cache counters and the [rewrite.hits]
+    word-level-rewrite counter.  Several solvers may share a registry
+    — e.g. across explorer rebuilds — and their contributions
+    accumulate.
 
-    The CDCL core runs with {!Sat.default_options}, and every asserted
-    or assumed term passes through {!Expr.simplify} before
-    bit-blasting. *)
+    Every asserted or assumed term passes through {!Expr.simplify}
+    before bit-blasting. *)
 
 val clone : ?obs:Obs.Registry.t -> ectx:Expr.ctx -> t -> t
 (** [clone ~ectx s] is a warm copy of [s] bound to [ectx], which must
@@ -56,16 +55,18 @@ val push : t -> unit
 val pop : t -> unit
 (** Raises [Invalid_argument] when the scope stack is empty. *)
 
-val scope_depth : t -> int
-
 val assert_ : t -> Expr.t -> unit
 (** Asserts a width-1 term in the current scope. *)
 
 val check : t -> result
+(** Raises {!Sat.Budget_exhausted} when the SAT core gives up (see
+    {!Sat.solve}); the check is still counted and timed, the last
+    model stays in place, and the solver remains usable. *)
 
 val check_assuming : t -> Expr.t list -> result
 (** Checks the current assertions plus temporary width-1 assumptions
-    that are not retained. *)
+    that are not retained.  Raises {!Sat.Budget_exhausted} like
+    {!check}. *)
 
 val suggest : t -> Expr.t -> Bitv.Bits.t -> unit
 (** [suggest s var_term value] asks the SAT core to try [value] first
@@ -114,8 +115,3 @@ val model_holds : model -> Expr.t -> bool
 
 val model_bytes : model -> int
 (** Approximate heap footprint, for cache accounting. *)
-
-val num_checks : t -> int
-val solve_time : t -> float
-(** Cumulative wall-clock seconds spent inside {!check} /
-    {!check_assuming} (the paper's Fig. 7 instruments this). *)

@@ -28,9 +28,56 @@ let test_dfs_exhaustive () =
         (name ^ ": paths = tests + discards")
         s.Explore.paths
         (s.Explore.tests + s.Explore.discarded_taint
-       + s.Explore.discarded_concolic + s.Explore.discarded_cov);
+       + s.Explore.discarded_concolic + s.Explore.discarded_cov
+       + s.Explore.discarded_budget);
       Alcotest.(check bool) (name ^ ": pruning happened") true (s.Explore.infeasible >= 0))
     strategies
+
+(* A branch no solve settles within the SAT core's conflict budget:
+   the constant is a prime above 2^32, so no two 32-bit fields
+   multiply to it, but refuting the product takes a CDCL search far
+   past the budget.  The fixed packet size leaves one path into the
+   ingress. *)
+let hard_branch =
+  {|
+header pair_t { bit<32> a; bit<32> b; }
+struct headers_t { pair_t h; }
+struct meta_t { }
+parser P(packet_in pkt, out headers_t hdr, inout meta_t meta,
+         inout standard_metadata_t sm) {
+  state start { pkt.extract(hdr.h); transition accept; }
+}
+control V(inout headers_t hdr, inout meta_t meta) { apply { } }
+control I(inout headers_t hdr, inout meta_t meta,
+          inout standard_metadata_t sm) {
+  apply {
+    if (((bit<64>)hdr.h.a) * ((bit<64>)hdr.h.b) == 64w4611686018427387847
+        && hdr.h.a != 1 && hdr.h.b != 1) {
+      sm.egress_spec = 2;
+    } else {
+      sm.egress_spec = 3;
+    }
+  }
+}
+control E(inout headers_t hdr, inout meta_t meta,
+          inout standard_metadata_t sm) { apply { } }
+control C(inout headers_t hdr, inout meta_t meta) { apply { } }
+control D(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.h); } }
+V1Switch(P(), V(), I(), E(), C(), D()) main;
+|}
+
+let test_budget_cut () =
+  (* the cut branch is not entered and not counted as infeasible; the
+     else branch still gets its test *)
+  let opts = { Runtime.default_options with Runtime.fixed_packet_bytes = Some 8 } in
+  let r = (generate ~opts hard_branch).Oracle.result in
+  let d = r.Explore.obs in
+  Alcotest.(check int) "one branch cut" 1 (Obs.Snapshot.get_int d "explore.budget_cut");
+  Alcotest.(check int) "nothing infeasible" 0 r.Explore.stats.Explore.infeasible;
+  Alcotest.(check (list int)) "else-branch test forwards to port 3" [ 3 ]
+    (List.concat_map
+       (fun t -> List.map (fun (o : Testspec.packet) -> Bits.to_int o.port) (Testspec.outputs t))
+       r.Explore.tests)
 
 let test_max_tests_cap () =
   let config = { Explore.default_config with Explore.max_tests = Some 3 } in
@@ -464,6 +511,8 @@ let () =
         [
           Alcotest.test_case "dfs exhaustive" `Quick test_dfs_exhaustive;
           Alcotest.test_case "max-tests cap" `Quick test_max_tests_cap;
+          Alcotest.test_case "hard branch cut by the conflict budget" `Quick
+            test_budget_cut;
           Alcotest.test_case "rnd same coverage" `Quick test_rnd_same_coverage;
           Alcotest.test_case "cov-greedy fewer tests" `Quick test_cov_greedy_fewer_tests;
         ] );

@@ -386,6 +386,75 @@ let test_batch_determinism () =
   Alcotest.(check int) "merged tests equal"
     b1.Oracle.merged_stats.Explore.tests b4.Oracle.merged_stats.Explore.tests
 
+(* ------------------------------------------------------------------ *)
+(* Front-end errors: every rejection is a positioned, structured error *)
+
+let v1model = Targets.V1model.target
+
+(* [s] with the first occurrence of [sub] replaced by [by] *)
+let replace sub by s =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then invalid_arg ("replace: no " ^ sub)
+    else if String.sub s i n = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+let middleblock () = Progzoo.Generators.middleblock ~acl_stages:2 ()
+
+(* literals that do not fit an OCaml int, or have no digits; each sits
+   at line 2, column 19 *)
+let literal_sources =
+  List.map
+    (fun lit -> "header h_t { bit<8> f; }\nconst bit<64> k = " ^ lit ^ ";\n")
+    [
+      "64w0xFFFFFFFFFFFFFFFF";
+      "12345678901234567890";
+      "128w0x20010db8000000000000000000000001";
+      "0x";
+    ]
+
+(* an action list whose parameter binding never closes *)
+let unclosed_sources =
+  [
+    "control c() { action a() { } table t { actions = { a(; } } apply { t.apply(); } }";
+    replace "rewrite; nexthop_miss;" "rewrite; nex(hop_miss;" (middleblock ());
+  ]
+
+let test_parse_errors_positioned () =
+  let positioned name = function
+    | Error (Oracle.Parse_error { line; col; _ }) ->
+        Alcotest.(check bool) (name ^ ": positioned") true (line >= 1 && col >= 1);
+        (line, col)
+    | Error e -> Alcotest.failf "%s: wrong error: %s" name (Oracle.prepare_error_message e)
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  List.iteri
+    (fun i src ->
+      ignore (positioned (Printf.sprintf "unclosed %d" i) (Oracle.prepare_result v1model src)))
+    unclosed_sources;
+  List.iteri
+    (fun i src ->
+      let name = Printf.sprintf "literal %d" i in
+      let at = Alcotest.(pair int int) in
+      Alcotest.check at (name ^ ": prepare_result at the literal") (2, 19)
+        (positioned name (Oracle.prepare_result v1model src));
+      Alcotest.check at (name ^ ": fingerprint at the literal") (2, 19)
+        (positioned name (Oracle.fingerprint ~arch:"v1model" src)))
+    literal_sources
+
+let test_uninstantiable_rejected () =
+  (* parses and types, but the package names a control that does not
+     exist: the target's init rejects it *)
+  let src = replace "E(), C(), D())" "E(), C(), Q())" (middleblock ()) in
+  match Oracle.prepare_result v1model src with
+  | Error (Oracle.Arch_error msg) ->
+      Alcotest.(check string) "arch error" "v1model: unknown control Q" msg
+  | Error e -> Alcotest.failf "wrong error: %s" (Oracle.prepare_error_message e)
+  | Ok _ -> Alcotest.fail "an uninstantiable program was prepared"
+
 let () =
   Alcotest.run "oracle"
     [
@@ -403,5 +472,12 @@ let () =
           Alcotest.test_case "adaptive split bit-identical" `Quick
             test_adaptive_split_bit_identical;
           Alcotest.test_case "batch jobs=1 = jobs=4" `Quick test_batch_determinism;
+        ] );
+      ( "front-end errors",
+        [
+          Alcotest.test_case "parse errors are positioned" `Quick
+            test_parse_errors_positioned;
+          Alcotest.test_case "uninstantiable program rejected" `Quick
+            test_uninstantiable_rejected;
         ] );
     ]

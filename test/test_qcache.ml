@@ -266,7 +266,9 @@ let test_model_and_subsumption () =
   (* a condition over an unrelated variable: the slice is {c} alone,
      and the syntactic witness finder answers without a model *)
   Alcotest.(check bool) "independent key match" true
-    (Qcache.check q (Expr.eq y (n 123)) = Qcache.Sat_hit)
+    (Qcache.check q (Expr.eq y (n 123)) = Qcache.Sat_hit);
+  Alcotest.(check bool) "witness_hits counted" true
+    (Obs.Snapshot.get_int (Obs.Registry.snapshot reg) "qcache.witness_hits" >= 1)
 
 let test_clone_carries_facts () =
   let ectx = Expr.create_ctx () in

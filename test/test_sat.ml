@@ -2,13 +2,11 @@
 
    A tiny reference DPLL (unit propagation + chronological backtracking
    over the same literal encoding) decides each random CNF instance
-   independently; the CDCL solver — running with database reduction,
-   clause minimisation, and phase saving enabled, and with a reduction
-   limit small enough that [reduce_db] actually fires on these tiny
-   instances — must agree on satisfiability, and every Sat answer must
-   come with a model that satisfies all original clauses.  Random
-   instances are drawn near the 3-SAT phase transition so both answers
-   and real conflict/learning activity occur. *)
+   independently; the CDCL solver must agree on satisfiability, and
+   every Sat answer must come with a model that satisfies all original
+   clauses.  Random instances are drawn near the 3-SAT phase
+   transition so both answers and real conflict/learning activity
+   occur. *)
 
 module Sat = Smt.Sat
 
@@ -105,14 +103,11 @@ let random_instance st =
   let nclauses = max 3 (int_of_float (float_of_int nvars *. ratio)) in
   (nvars, List.init nclauses (fun _ -> random_clause st nvars))
 
-(* options that exercise every new mechanism on tiny instances *)
-let fuzz_options = { Sat.default_options with Sat.o_reduce_init = 2 }
-
 let model_satisfies s clauses =
   List.for_all (fun c -> List.exists (fun l -> Sat.lit_value s l) c) clauses
 
-let cdcl_solve ~options ~nvars clauses =
-  let s = Sat.create ~options () in
+let cdcl_solve ~nvars clauses =
+  let s = Sat.create () in
   for _ = 1 to nvars do
     ignore (Sat.new_var s)
   done;
@@ -123,11 +118,11 @@ let cdcl_solve ~options ~nvars clauses =
 
 let test_fuzz_vs_dpll () =
   let st = Random.State.make [| 0x5a7b3 |] in
-  let sat_n = ref 0 and unsat_n = ref 0 and reductions = ref 0 in
+  let sat_n = ref 0 and unsat_n = ref 0 in
   for i = 1 to 500 do
     let nvars, clauses = random_instance st in
     let expected = Dpll.solve ~nvars clauses in
-    let s, got = cdcl_solve ~options:fuzz_options ~nvars clauses in
+    let s, got = cdcl_solve ~nvars clauses in
     if got <> expected then
       Alcotest.failf "instance %d (%d vars, %d clauses): cdcl=%b dpll=%b" i nvars
         (List.length clauses) got expected;
@@ -141,44 +136,16 @@ let test_fuzz_vs_dpll () =
       if not (model_satisfies s clauses) then
         Alcotest.failf "instance %d: re-solve model violates a clause" i
     end
-    else incr unsat_n;
-    reductions := !reductions + (Sat.counters s).Sat.c_db_reductions
+    else incr unsat_n
   done;
-  (* the corpus must actually exercise both answers and the reducer *)
+  (* the corpus must actually exercise both answers *)
   Alcotest.(check bool) "found sat instances" true (!sat_n > 100);
-  Alcotest.(check bool) "found unsat instances" true (!unsat_n > 100);
-  Alcotest.(check bool) "db reductions fired" true (!reductions > 0)
+  Alcotest.(check bool) "found unsat instances" true (!unsat_n > 100)
 
-(* same corpus, every optimisation disabled — localizes a fuzz failure
-   to the new mechanisms if only one of the two tests breaks *)
-let test_fuzz_plain () =
-  let st = Random.State.make [| 0x5a7b3 |] in
-  let plain =
-    {
-      Sat.o_phase_saving = false;
-      o_target_phase = false;
-      o_reduce_db = false;
-      o_minimise = false;
-      o_reduce_init = max_int;
-    }
-  in
-  for i = 1 to 200 do
-    let nvars, clauses = random_instance st in
-    let expected = Dpll.solve ~nvars clauses in
-    let s, got = cdcl_solve ~options:plain ~nvars clauses in
-    if got <> expected then
-      Alcotest.failf "instance %d: plain cdcl=%b dpll=%b" i got expected;
-    if got && not (model_satisfies s clauses) then
-      Alcotest.failf "instance %d: plain model violates a clause" i
-  done
-
-(* Regression: models read after [reduce_db] has deleted learnt
-   clauses must still satisfy every original clause.  Satisfiable
-   random instances rarely conflict enough on their own for the
-   reducer to fire before the first model, so models are enumerated on
-   a persistent solver (blocking each one over a fixed variable
-   window) — the accumulating learnt database then crosses the tiny
-   reduction limit while later models must remain sound. *)
+(* Models enumerated on a persistent solver (blocking each one over a
+   fixed variable window) must keep satisfying every original clause
+   while the learnt database and the saved/target phases accumulate
+   across solves. *)
 let test_model_survives_reduction () =
   let st = Random.State.make [| 0xbeef1 |] in
   let exercised = ref 0 and attempts = ref 0 in
@@ -187,7 +154,7 @@ let test_model_survives_reduction () =
     let nvars = 14 + Random.State.int st 8 in
     let nclauses = int_of_float (float_of_int nvars *. 3.5) in
     let clauses = List.init nclauses (fun _ -> random_clause st nvars) in
-    let s, got = cdcl_solve ~options:fuzz_options ~nvars clauses in
+    let s, got = cdcl_solve ~nvars clauses in
     if got then begin
       (* enumerate models, blocking each over the first 8 variables *)
       let window = min 8 nvars in
@@ -195,9 +162,7 @@ let test_model_survives_reduction () =
       while !more && !models < 300 do
         incr models;
         if not (model_satisfies s clauses) then
-          Alcotest.failf
-            "attempt %d, model %d: violates a clause (after %d reductions)" !attempts
-            !models (Sat.counters s).Sat.c_db_reductions;
+          Alcotest.failf "attempt %d, model %d: violates a clause" !attempts !models;
         let blocking =
           List.init window (fun v -> if Sat.value s v then Sat.neg v else Sat.pos v)
         in
@@ -205,46 +170,69 @@ let test_model_survives_reduction () =
         Sat.add_clause s blocking;
         more := Sat.solve s
       done;
-      if (Sat.counters s).Sat.c_db_reductions > 0 then incr exercised
+      (* enumeration beyond the first model re-solves with learnt
+         clauses carried over *)
+      if !models > 1 && (Sat.counters s).Sat.c_conflicts > 0 then incr exercised
     end
   done;
   if !exercised < 20 then
-    Alcotest.failf "reduce_db rarely exercised: %d/%d attempts" !exercised !attempts
+    Alcotest.failf "model enumeration rarely exercised: %d/%d attempts" !exercised
+      !attempts
 
-(* Deterministic pigeonhole instance (n+1 pigeons, n holes): unsat,
-   conflict-heavy, and with o_reduce_init = 2 it guarantees reductions
-   and minimisation activity on a fixed input. *)
-let test_pigeonhole () =
-  let pigeons = 6 and holes = 5 in
-  let s = Sat.create ~options:fuzz_options () in
+(* Pigeonhole clauses (n+1 pigeons, n holes), each guarded by [¬g] when
+   [guard] is given so the instance is active only under [g]. *)
+let pigeonhole ?guard s ~holes =
+  let pigeons = holes + 1 in
+  let add c = Sat.add_clause s (match guard with Some g -> Sat.neg g :: c | None -> c) in
   let var = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Sat.new_var s)) in
   for p = 0 to pigeons - 1 do
-    Sat.add_clause s (List.init holes (fun h -> Sat.pos var.(p).(h)))
+    add (List.init holes (fun h -> Sat.pos var.(p).(h)))
   done;
   for h = 0 to holes - 1 do
     for p = 0 to pigeons - 1 do
       for q = p + 1 to pigeons - 1 do
-        Sat.add_clause s [ Sat.neg var.(p).(h); Sat.neg var.(q).(h) ]
+        add [ Sat.neg var.(p).(h); Sat.neg var.(q).(h) ]
       done
     done
-  done;
+  done
+
+(* Deterministic pigeonhole instance: unsat and conflict-heavy on a
+   fixed input. *)
+let test_pigeonhole () =
+  let s = Sat.create () in
+  pigeonhole s ~holes:5;
   Alcotest.(check bool) "php unsat" false (Sat.solve s);
   let c = Sat.counters s in
-  Alcotest.(check bool) "conflicts occurred" true (c.Sat.c_conflicts > 0);
-  Alcotest.(check bool) "reductions occurred" true (c.Sat.c_db_reductions > 0)
+  Alcotest.(check bool) "conflicts occurred" true (c.Sat.c_conflicts > 0)
+
+(* PHP(10,9) needs tens of thousands of conflicts: one solve stops at
+   the budget, and the same solver then answers an easy query (the
+   instance sits behind an activation literal, the way the term-level
+   solver guards its scopes). *)
+let test_budget () =
+  let s = Sat.create () in
+  let g = Sat.new_var s in
+  pigeonhole s ~guard:g ~holes:9;
+  (match Sat.solve ~assumptions:[ Sat.pos g ] s with
+  | r -> Alcotest.failf "PHP(10,9) answered %b within the budget" r
+  | exception Sat.Budget_exhausted -> ());
+  Alcotest.(check int) "stopped at the budget" Sat.conflict_budget
+    (Sat.counters s).Sat.c_conflicts;
+  (* back at level 0: clauses may be added, and an easy query answers *)
+  let x = Sat.new_var s in
+  Sat.add_clause s [ Sat.pos x; Sat.pos g ];
+  Alcotest.(check bool) "easy query sat" true (Sat.solve ~assumptions:[ Sat.neg g ] s);
+  Alcotest.(check bool) "model honours the new clause" true (Sat.value s x)
 
 let () =
   Alcotest.run "sat"
     [
-      ( "fuzz",
-        [
-          Alcotest.test_case "cdcl-vs-dpll-500" `Quick test_fuzz_vs_dpll;
-          Alcotest.test_case "cdcl-plain-vs-dpll" `Quick test_fuzz_plain;
-        ] );
+      ("fuzz", [ Alcotest.test_case "cdcl-vs-dpll-500" `Quick test_fuzz_vs_dpll ]);
       ( "reduce_db",
         [
           Alcotest.test_case "model-survives-reduction" `Quick
             test_model_survives_reduction;
           Alcotest.test_case "pigeonhole-reduces" `Quick test_pigeonhole;
         ] );
+      ("budget", [ Alcotest.test_case "php-10-9-gives-up" `Quick test_budget ]);
     ]

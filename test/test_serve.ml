@@ -332,6 +332,27 @@ let test_server_prepare_error () =
       let ok = rpc ep (gen_rq ~source:Progzoo.Corpus.fig1a ()) in
       Alcotest.(check string) "daemon survived" "false" (sget ok "cache_hit"))
 
+(* a program that parses and types but names an unknown control in its
+   package is rejected when it is prepared, so it never enters the
+   cache: the repeat request fails the same way and misses again *)
+let test_server_uninstantiable_not_cached () =
+  with_daemon (fun server ep ->
+      let src =
+        replace_all (Progzoo.Generators.middleblock ~acl_stages:2 ()) "E(), C(), D())"
+          "E(), C(), Q())"
+      in
+      let exec_error evs =
+        match Serve.Client.find_error evs with
+        | Some ("exec", _) -> ()
+        | Some (k, m) -> Alcotest.failf "wrong kind %s: %s" k m
+        | None -> Alcotest.fail "expected an exec error frame"
+      in
+      exec_error (rpc ep (gen_rq ~source:src ()));
+      exec_error (rpc ep (gen_rq ~source:src ()));
+      let snap = Serve.Server.snapshot server in
+      Alcotest.(check int) "no cache hit" 0 (Obs.Snapshot.get_int snap "serve.cache_hits");
+      Alcotest.(check int) "two misses" 2 (Obs.Snapshot.get_int snap "serve.cache_misses"))
+
 (* every concurrent client's streamed response must be bit-identical
    to a single-shot generate of the same program with the same seed:
    the cache shares midend artifacts, never exploration state *)
@@ -488,6 +509,8 @@ let () =
           Alcotest.test_case "hit after evict" `Quick test_server_hit_after_evict;
           Alcotest.test_case "fingerprint probe" `Quick test_server_fingerprint_probe;
           Alcotest.test_case "prepare error survives" `Quick test_server_prepare_error;
+          Alcotest.test_case "uninstantiable program not cached" `Quick
+            test_server_uninstantiable_not_cached;
           Alcotest.test_case "concurrent bit-identical" `Quick
             test_server_concurrent_bit_identical;
           Alcotest.test_case "client hangup counted" `Quick

@@ -163,13 +163,12 @@ let random_clauses st nvars n = List.init n (fun _ -> random_clause st nvars)
 
 let test_sat_clone_verdicts () =
   let rst = Random.State.make [| 0xc10e |] in
-  let fuzz_options = { Sat.default_options with Sat.o_reduce_init = 2 } in
   for _ = 1 to 150 do
     let nvars = 5 + Random.State.int rst 11 in
     let base = random_clauses rst nvars (2 + Random.State.int rst (3 * nvars)) in
     let extra = random_clauses rst nvars (1 + Random.State.int rst nvars) in
     let mk () =
-      let s = Sat.create ~options:fuzz_options () in
+      let s = Sat.create () in
       for _ = 1 to nvars do
         ignore (Sat.new_var s)
       done;
