@@ -42,6 +42,7 @@ let set_bit data i b =
   Bytes.set data (i lsr 3) (Char.chr byte)
 
 let init w f =
+  if w < 0 then invalid_arg "Bits.init: negative width";
   let v = make w in
   for i = 0 to w - 1 do
     if f i then set_bit v.data i true

@@ -23,6 +23,10 @@ val of_int : width:int -> int -> t
 (** [of_int ~width n] truncates the two's-complement representation of
     [n] to [width] bits. *)
 
+val init : int -> (int -> bool) -> t
+(** [init w f] is the width-[w] vector whose bit [i] is [f i], built
+    in one pass ([f] is called once per bit, LSB first). *)
+
 val of_bool_list : bool list -> t
 (** [of_bool_list bs] builds a vector from MSB-first bits. *)
 

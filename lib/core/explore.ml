@@ -79,8 +79,9 @@ type config = {
      the benchmarks always run with their defaults. *)
   rebuild_size_threshold : int;
       (** SAT variables a solver may accumulate before it is eligible
-          for a rebuild (dead variables from popped scopes dominate
-          past this point); tests shrink it to force rebuilds *)
+          for a rebuild (it is rebuilt once it has also doubled since
+          its last rebuild, see [maybe_rebuild]); tests shrink it to
+          force rebuilds *)
   split_tasks : int;
       (** adaptive-splitter frontier target: the splitter refines the
           heaviest task one fork level deeper until this many subtree
@@ -465,6 +466,10 @@ type engine = {
       (* the *probe* solver: carries the full candidate path
          (including the condition under test) and answers the branch
          feasibility checks the query cache cannot *)
+  e_solver_live : int ref;
+  e_probe_live : int ref;
+      (* each solver's size right after its last rebuild (0 before the
+         first): its live part, base plus spine, at that point *)
   e_qc : Smt.Qcache.t option;
       (* branch-feasibility query cache; [None] when
          [config.query_cache] is off *)
@@ -519,6 +524,8 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
       ref (match solver with Some s -> s | None -> new_solver ctx base);
     e_probe =
       ref (match probe with Some s -> s | None -> new_solver ctx base);
+    e_solver_live = ref 0;
+    e_probe_live = ref 0;
     e_qc;
     e_spine = ref [];
     e_base = base;
@@ -530,34 +537,35 @@ let make_engine ?(base = []) ?solver ?probe ?qc ?(count_tests = true)
     e_extra_check = extra_check;
   }
 
-(* rebuild only when the DFS spine is at most this deep, so the fresh
-   solver re-asserts few scopes *)
-let rebuild_spine_limit = 8
-
-(* both solvers are eligible at the same spine depths (each one's
-   scope stack mirrors the spine whenever this runs), but each
-   rebuilds on its own size: the probe blasts every candidate branch
-   and outgrows the emission solver *)
+(* A solver is rebuilt once it has outgrown both
+   [rebuild_size_threshold] and twice its live size after its last
+   rebuild: past that point the dead variables of popped scopes
+   outnumber the live ones, whatever the spine's depth.  The factor 2
+   keeps a solver whose live part alone passes the threshold (a deep
+   spine) from rebuilding on every pop.  Both solvers' scope stacks
+   mirror the spine whenever this runs, but each rebuilds on its own
+   size: the probe blasts every candidate branch and outgrows the
+   emission solver. *)
 let maybe_rebuild eng =
-  if List.length !(eng.e_spine) <= rebuild_spine_limit then begin
-    let rebuild_one sref =
-      if Solver.size !sref > eng.e_cfg.rebuild_size_threshold then begin
-        (* retire the old solver: push its residual counter activity
-           into the registry before it becomes unreachable *)
-        Solver.flush_stats !sref;
-        Obs.Counter.incr eng.e_cells.c_rebuilds;
-        let s = new_solver eng.e_ctx eng.e_base in
-        List.iter
-          (fun c ->
-            Solver.push s;
-            Solver.assert_ s c)
-          (List.rev !(eng.e_spine));
-        sref := s
-      end
-    in
-    rebuild_one eng.e_solver;
-    rebuild_one eng.e_probe
-  end
+  let rebuild_one sref live =
+    let size = Solver.size !sref in
+    if size > eng.e_cfg.rebuild_size_threshold && size > 2 * !live then begin
+      (* retire the old solver: push its residual counter activity
+         into the registry before it becomes unreachable *)
+      Solver.flush_stats !sref;
+      Obs.Counter.incr eng.e_cells.c_rebuilds;
+      let s = new_solver eng.e_ctx eng.e_base in
+      List.iter
+        (fun c ->
+          Solver.push s;
+          Solver.assert_ s c)
+        (List.rev !(eng.e_spine));
+      sref := s;
+      live := Solver.size s
+    end
+  in
+  rebuild_one eng.e_solver eng.e_solver_live;
+  rebuild_one eng.e_probe eng.e_probe_live
 
 let check_budget eng =
   (match eng.e_cfg.max_tests with

@@ -339,6 +339,12 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
            keys e.se_keys)
     in
     let not_matching es = List.map (fun e -> Expr.bnot (match_prev e)) es in
+    (* whether a tainted key matches an installed entry is unknown, so
+       a re-hit or miss decided over one is unpredictable, like a
+       tainted key on a constant-entry table *)
+    let taint_if_tainted cond st =
+      if Expr.tainted cond then { st with ctrl_taint = true } else st
+    in
     let rehit_branches =
       List.concat
         (List.mapi
@@ -368,7 +374,7 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
                      ap_args = args;
                      ap_hit = true;
                      ap_cond = Some cond;
-                     ap_state = st0;
+                     ap_state = taint_if_tainted cond st0;
                      ap_label =
                        Printf.sprintf "%s:rehit%d:%s" tbl.tbl_name i e.se_action;
                    };
@@ -446,15 +452,20 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
           (tbl.tbl_name, List.map (fun (_, _, v) -> v) keys) :: st.tbl_misses;
       }
     in
+    let miss_cond =
+      if prev = [] then None (* empty table: miss unconditionally *)
+      else Some (Expr.conj ctx.ectx (not_matching prev))
+    in
     let miss =
       {
         ap_action = dname;
         ap_args = dargs;
         ap_hit = false;
-        ap_cond =
-          (if prev = [] then None (* empty table: miss unconditionally *)
-           else Some (Expr.conj ctx.ectx (not_matching prev)));
-        ap_state = miss_st;
+        ap_cond = miss_cond;
+        ap_state =
+          (match miss_cond with
+          | Some c -> taint_if_tainted c miss_st
+          | None -> miss_st);
         ap_label = tbl.tbl_name ^ ":miss";
       }
     in

@@ -157,6 +157,10 @@ let cov_per_1000 (s : summary) : float =
 let case_seed master i = (((master * 1_000_003) + (i * 7919)) land 0x3FFFFFFF) + 1
 let case_arch cfg i = List.nth cfg.archs (i mod List.length cfg.archs)
 
+(* sequence mode: 2–3 packets per test, derived from the case seed so
+   the choice is identical for any [jobs] value *)
+let case_seq_packets cfg seed = if cfg.sequences then 2 + (seed mod 2) else 1
+
 (* ------------------------------------------------------------------ *)
 (* Coverage keys: canonical statement shapes, salted per arch, hashed
    with FNV-1a (NOT [Hashtbl.hash]: these keys persist in the corpus
@@ -194,7 +198,10 @@ let campaign_explore =
     Explore.max_paths = Some 384;
   }
 
-let run_pipeline_cov ?(explore = campaign_explore) ?(seq_packets = 1) ~fault
+(* [obs], when given, absorbs the oracle run's metrics (explorer,
+   solver, SAT core, query cache): counters sum, so a campaign's totals
+   are the same for any [jobs] *)
+let run_pipeline_cov ?(explore = campaign_explore) ?(seq_packets = 1) ?obs ~fault
     ~arch ~seed ~max_tests src : pipeline_outcome * Runtime.IntSet.t =
   let opts = { Runtime.default_options with seed; seq_packets } in
   let config = { explore with Explore.max_tests = Some max_tests } in
@@ -202,6 +209,7 @@ let run_pipeline_cov ?(explore = campaign_explore) ?(seq_packets = 1) ~fault
   | exception e -> (Diff ("oracle_error", Printexc.to_string e), Runtime.IntSet.empty)
   | run -> (
       let result = run.Oracle.result in
+      Option.iter (fun reg -> Obs.Registry.absorb reg result.Explore.obs) obs;
       let keys =
         let tbl = Hashtbl.create 256 in
         List.iter
@@ -320,16 +328,14 @@ let eval_case cfg (reg : Obs.Registry.t) ~(i : int) ~(seed : int)
     }
   in
   Obs.Counter.incr (Obs.Registry.counter reg "selftest.cases");
-  (* sequence mode: 2–3 packets per test, derived from the case seed so
-     the choice is identical for any [jobs] value *)
-  let seq_packets = if cfg.sequences then 2 + (seed mod 2) else 1 in
+  let seq_packets = case_seq_packets cfg seed in
   if cfg.sequences then
     Obs.Counter.incr (Obs.Registry.counter reg "selftest.sequence_cases");
   let t = Obs.Registry.timer reg "selftest.case_time" in
   Obs.Timer.time t (fun () ->
       match
-        run_pipeline_cov ~seq_packets ~fault:cfg.fault ~arch:arch_name ~seed
-          ~max_tests:cfg.max_tests src
+        run_pipeline_cov ~seq_packets ~obs:reg ~fault:cfg.fault ~arch:arch_name
+          ~seed ~max_tests:cfg.max_tests src
       with
       | Diff (kind, detail), keys ->
           Obs.Counter.incr (Obs.Registry.counter reg "selftest.failures");
@@ -368,7 +374,7 @@ let skipped_result cfg i =
 let reduce_failure ?deadline cfg (reg : Obs.Registry.t) (f : failure) : failure =
   (* "still fails the same way": same kind, under the same seed/fault
      (and the same sequence length, re-derived from the case seed) *)
-  let seq_packets = if cfg.sequences then 2 + (f.f_seed mod 2) else 1 in
+  let seq_packets = case_seq_packets cfg f.f_seed in
   let keep src =
     match
       run_pipeline ~seq_packets ~fault:cfg.fault ~arch:f.f_arch ~seed:f.f_seed
@@ -405,6 +411,9 @@ let write_repro cfg (f : failure) : failure =
       in
       Printf.fprintf oc "// arch: %s\n// seed: %d\n// case: %d  kind: %s\n" f.f_arch
         f.f_seed f.f_case f.f_kind;
+      (* the regression corpus replays a repro with this many packets *)
+      if cfg.sequences then
+        Printf.fprintf oc "// seq-packets: %d\n" (case_seq_packets cfg f.f_seed);
       (match cfg.fault with
       | Sim.Mutation.No_fault -> ()
       | fault -> Printf.fprintf oc "// fault: %s\n" (Sim.Mutation.fault_name fault));

@@ -35,7 +35,10 @@ type t = {
   mutable scopes : int list; (* activation literals, innermost first *)
   (* snapshot of the SAT assignment after the last Sat answer; models
      are read from here so they survive backtracking, and branch
-     conditions already true under it skip the solver entirely *)
+     conditions already true under it skip the solver entirely.  Each
+     Sat answer replaces the array with a fresh one and nothing ever
+     writes into it, so captured models and clones share it instead of
+     copying it. *)
   mutable model_snap : int array;
   (* per-variable suggested values for free inputs; consulted when the
      SAT core left the bit unassigned (unconstrained vars are no longer
@@ -101,7 +104,7 @@ let clone ?obs ~ectx s =
     blast;
     metrics = make_metrics obs ectx sat;
     scopes = [];
-    model_snap = Array.copy s.model_snap;
+    model_snap = s.model_snap;
     suggestions = Hashtbl.copy s.suggestions;
   }
 
@@ -203,39 +206,26 @@ let suggest s e (b : Bits.t) =
       else Sat.set_polarity s.sat (l lsr 1) (not (Bits.get b i)))
     ls
 
-(* literal value under the snapshot: 1 true, 2 false, 0 unassigned *)
-let snap_raw s l =
+(* literal value under a snapshot: 1 true, 2 false, 0 unassigned *)
+let snap_raw snap l =
   let v = l lsr 1 in
-  let a = if v < Array.length s.model_snap then s.model_snap.(v) else 0 in
+  let a = if v < Array.length snap then snap.(v) else 0 in
   if a = 0 then 0 else if l land 1 = 0 then a else 3 - a
 
-let snap_lit s l = snap_raw s l = 1
-
-let bits_of_lits s ls =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    if snap_lit s ls.(i) then
-      v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
+(* a value is read in one pass over its literals, so a w-bit readout
+   costs O(w); unassigned bits read as zero *)
+let bits_of_lits snap ls =
+  Bits.init (Array.length ls) (fun i -> snap_raw snap ls.(i) = 1)
 
 (* like [bits_of_lits] but bits the model leaves unassigned (the SAT
    core only decides constrained variables) fall back to a suggested
    value — any value is a sound extension for an unconstrained bit *)
 let bits_of_lits_with_default s ls (default : Bits.t option) =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    let bit =
-      match snap_raw s ls.(i) with
+  Bits.init (Array.length ls) (fun i ->
+      match snap_raw s.model_snap ls.(i) with
       | 1 -> true
       | 2 -> false
-      | _ -> ( match default with Some d -> Bits.get d i | None -> false)
-    in
-    if bit then v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
+      | _ -> ( match default with Some d -> Bits.get d i | None -> false))
 
 let model_var s (v : Expr.var) =
   let default = Hashtbl.find_opt s.suggestions v.Expr.vid in
@@ -245,7 +235,7 @@ let model_var s (v : Expr.var) =
 
 let model_taint s id width =
   match Blast.taint_bits s.blast id with
-  | Some ls -> bits_of_lits s ls
+  | Some ls -> bits_of_lits s.model_snap ls
   | None -> Bits.zero width
 
 let model_eval s e =
@@ -262,9 +252,10 @@ let holds s e =
 (* ------------------------------------------------------------------ *)
 (* Captured models.
 
-   A [model] freezes the last satisfying assignment: a copy of the
-   snapshot array plus the blast that maps terms to SAT literals at
-   capture time.  Bits the snapshot leaves unassigned — and any
+   A [model] freezes the last satisfying assignment: the snapshot
+   array (shared with the solver, which replaces rather than mutates
+   it) plus the blast that maps terms to SAT literals at capture
+   time.  Bits the snapshot leaves unassigned — and any
    variable blasted only after the capture (its literals index past
    the frozen snapshot) — read as zero, which is a sound extension:
    an unconstrained bit can take any value, and the zero default makes
@@ -277,21 +268,7 @@ type model = { m_snap : int array; m_blast : Blast.t }
 
 let capture_model s =
   if Array.length s.model_snap = 0 then None
-  else Some { m_snap = Array.copy s.model_snap; m_blast = s.blast }
-
-let model_snap_lit m l =
-  let v = l lsr 1 in
-  let a = if v < Array.length m.m_snap then m.m_snap.(v) else 0 in
-  (if l land 1 = 0 then a else match a with 0 -> 0 | x -> 3 - x) = 1
-
-let model_lits m ls =
-  let w = Array.length ls in
-  let v = ref (Bits.zero w) in
-  for i = 0 to w - 1 do
-    if model_snap_lit m ls.(i) then
-      v := Bits.logor !v (Bits.shift_left (Bits.of_int ~width:w 1) i)
-  done;
-  !v
+  else Some { m_snap = s.model_snap; m_blast = s.blast }
 
 (* The width guards matter for models consulted across term contexts
    (a cold-replay task evaluating a splitter-captured model): a name
@@ -301,11 +278,11 @@ let frozen_eval m e =
   Expr.eval
     ~taint:(fun id w ->
       match Blast.taint_bits m.m_blast id with
-      | Some ls when Array.length ls = w -> model_lits m ls
+      | Some ls when Array.length ls = w -> bits_of_lits m.m_snap ls
       | Some _ | None -> Bits.zero w)
     (fun v ->
       match Blast.var_bits m.m_blast v with
-      | Some ls when Array.length ls = v.Expr.vwidth -> model_lits m ls
+      | Some ls when Array.length ls = v.Expr.vwidth -> bits_of_lits m.m_snap ls
       | Some _ | None -> Bits.zero v.Expr.vwidth)
     e
 

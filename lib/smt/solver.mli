@@ -107,7 +107,14 @@ val holds : t -> Expr.t -> bool
 type model
 
 val capture_model : t -> model option
-(** The last [Sat] assignment, or [None] if no check has succeeded. *)
+(** The last [Sat] assignment, or [None] if no check has succeeded.
+    Costs no copy: the model shares the solver's snapshot, which the
+    next [Sat] answer replaces rather than overwrites. *)
+
+val frozen_eval : model -> Expr.t -> Bitv.Bits.t
+(** Evaluates any term under the frozen assignment (unassigned and
+    later-blasted bits read as zero, unlike {!model_var}, which falls
+    back to suggested values). *)
 
 val model_holds : model -> Expr.t -> bool
 (** [model_holds m e]: the width-1 term [e] evaluates to true under

@@ -240,6 +240,49 @@ let test_rebuild_threshold () =
     && r.Explore.stats.Explore.t_emit_solve >= 0.0
     && r.Explore.solve_time > 0.0)
 
+(* middleblock with 8 ACL stages opens up to 16 scopes along its DFS
+   spine, so a rebuild rule gated on a shallow spine almost never
+   fires there *)
+let mb8_cap400 ?(config = Explore.default_config) () =
+  generate
+    ~config:{ config with Explore.max_tests = Some 400 }
+    (Progzoo.Generators.middleblock ~acl_stages:8 ())
+
+let mb8_default = lazy (mb8_cap400 ())
+
+let rebuilds run =
+  Obs.Snapshot.get_int run.Oracle.result.Explore.obs "solver.rebuilds"
+
+let test_rebuild_deep_spine () =
+  let n = rebuilds (Lazy.force mb8_default) in
+  Alcotest.(check bool) (Printf.sprintf "%d rebuilds >= 10" n) true (n >= 10)
+
+let test_rebuild_no_thrash () =
+  (* with every solver past the threshold, only the doubling rule
+     limits rebuilds: a deep spine's live part alone would otherwise
+     trigger one after every pop *)
+  let normal = Lazy.force mb8_default in
+  let forced =
+    mb8_cap400
+      ~config:{ Explore.default_config with Explore.rebuild_size_threshold = 1 }
+      ()
+  in
+  let n = rebuilds forced in
+  Alcotest.(check bool) (Printf.sprintf "%d rebuilds < 100" n) true (n < 100);
+  let shape run =
+    List.map
+      (fun (t : Testspec.t) -> (t.comment, t.covered))
+      run.Oracle.result.Explore.tests
+  in
+  Alcotest.(check int) "same test count"
+    (List.length normal.Oracle.result.Explore.tests)
+    (List.length forced.Oracle.result.Explore.tests);
+  Alcotest.(check bool) "same comments and per-test coverage" true
+    (shape normal = shape forced);
+  Alcotest.(check bool) "same coverage" true
+    (Testgen.Runtime.IntSet.equal normal.Oracle.result.Explore.covered
+       forced.Oracle.result.Explore.covered)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel (frontier-split) exploration *)
 
@@ -527,6 +570,9 @@ let () =
           Alcotest.test_case "unroll depth" `Quick test_unroll_bound_controls_depth;
           Alcotest.test_case "seed variation" `Quick test_seed_changes_values_not_paths;
           Alcotest.test_case "solver rebuild threshold" `Quick test_rebuild_threshold;
+          Alcotest.test_case "rebuilds below depth 8" `Quick test_rebuild_deep_spine;
+          Alcotest.test_case "rebuild rule does not thrash" `Quick
+            test_rebuild_no_thrash;
         ] );
       ( "parallel",
         [

@@ -21,25 +21,35 @@ let regression_files () =
   |> List.filter (fun f -> Filename.check_suffix f ".p4")
   |> List.sort compare
 
-(* repro headers carry their architecture as a comment: [// arch: tna] *)
-let arch_of_file path =
+(* repro headers are comments at the top of the file: [// arch: tna]
+   (required), [// seq-packets: 2] (optional, default 1) *)
+let header_of_file path key =
+  let prefix = "// " ^ key ^ ": " in
   let ic = open_in path in
-  let arch = ref None in
+  let value = ref None in
   (try
-     while !arch = None do
+     while !value = None do
        let line = input_line ic in
-       let prefix = "// arch: " in
-       if String.length line > String.length prefix
-          && String.sub line 0 (String.length prefix) = prefix
-       then
-         arch :=
-           Some (String.sub line (String.length prefix) (String.length line - String.length prefix))
+       if String.starts_with ~prefix line then
+         value :=
+           Some
+             (String.trim
+                (String.sub line (String.length prefix)
+                   (String.length line - String.length prefix)))
      done
    with End_of_file -> ());
   close_in ic;
-  match !arch with
-  | Some a -> String.trim a
+  !value
+
+let arch_of_file path =
+  match header_of_file path "arch" with
+  | Some a -> a
   | None -> Alcotest.failf "%s: missing '// arch:' header" path
+
+let seq_packets_of_file path =
+  match header_of_file path "seq-packets" with
+  | Some n -> int_of_string n
+  | None -> 1
 
 let read_file path =
   let ic = open_in_bin path in
@@ -50,9 +60,11 @@ let read_file path =
 let revalidate file () =
   let path = Filename.concat corpus_dir file in
   let arch = arch_of_file path in
+  let seq_packets = seq_packets_of_file path in
   let src = read_file path in
   match
-    Campaign.run_pipeline ~fault:Sim.Mutation.No_fault ~arch ~seed:3 ~max_tests:12 src
+    Campaign.run_pipeline ~seq_packets ~fault:Sim.Mutation.No_fault ~arch ~seed:3
+      ~max_tests:12 src
   with
   | Campaign.All_pass n ->
       Alcotest.(check bool)
@@ -60,6 +72,40 @@ let revalidate file () =
         true (n > 0)
   | Campaign.Diff (kind, detail) ->
       Alcotest.failf "%s (%s): regressed: %s: %s" file arch kind detail
+
+(* a sequence campaign's repro names its packet count, so a repro
+   committed to the corpus replays the failing sequence rather than a
+   single packet *)
+let test_sequence_repro_header () =
+  let dir = Filename.temp_file "repro" "" in
+  Sys.remove dir;
+  let cfg =
+    { Campaign.default_config with Campaign.sequences = true; out_dir = Some dir }
+  in
+  let f =
+    {
+      Campaign.f_case = 11;
+      f_arch = "v1model";
+      f_seed = 1087113;
+      f_kind = "wrong_output";
+      f_detail = "packet #3: expected 1 packet(s), got drop";
+      f_source = "V1Switch(P(), V(), I(), E(), C(), D()) main;\n";
+      f_reduced = None;
+      f_file = None;
+    }
+  in
+  match (Campaign.write_repro cfg f).Campaign.f_file with
+  | None -> Alcotest.fail "no repro written"
+  | Some path ->
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove path;
+          Sys.rmdir dir)
+        (fun () ->
+          Alcotest.(check string) "arch" "v1model" (arch_of_file path);
+          Alcotest.(check int) "seq-packets"
+            (Campaign.case_seq_packets cfg f.Campaign.f_seed)
+            (seq_packets_of_file path))
 
 let test_corpus_nonempty () =
   Alcotest.(check bool) "committed regression corpus exists" true
@@ -85,6 +131,11 @@ let () =
         :: List.map
              (fun f -> Alcotest.test_case f `Quick (revalidate f))
              (regression_files ()) );
+      ( "repro",
+        [
+          Alcotest.test_case "sequence repro names its packet count" `Quick
+            test_sequence_repro_header;
+        ] );
       ( "mutation",
         [ Alcotest.test_case "catalogue coverage" `Slow test_mutation_coverage ] );
     ]

@@ -290,6 +290,25 @@ let test_sequence_campaign_deterministic () =
   Alcotest.(check bool) "sequence cases counted" true
     (Obs.Snapshot.get_int s1.Campaign.s_obs "selftest.sequence_cases" = 8)
 
+(* the campaign reports each case's explorer and solver metrics, not
+   only its own selftest.* counters; counters sum, so they agree for
+   any [jobs] *)
+let test_campaign_metrics_merge () =
+  let cfg jobs =
+    { Campaign.default_config with Campaign.cases = 12; jobs; seed = 5; reduce = false }
+  in
+  let s1 = Campaign.run (cfg 1) in
+  let s2 = Campaign.run (cfg 2) in
+  List.iter
+    (fun name ->
+      let n = Obs.Snapshot.get_int s1.Campaign.s_obs name in
+      Alcotest.(check bool) (Printf.sprintf "%s = %d > 0" name n) true (n > 0))
+    [ "explore.paths"; "solver.checks" ];
+  Alcotest.(check (list (pair string int)))
+    "counters identical across jobs"
+    (Obs.Snapshot.counters s1.Campaign.s_obs)
+    (Obs.Snapshot.counters s2.Campaign.s_obs)
+
 let () =
   Alcotest.run "selftest"
     [
@@ -313,5 +332,7 @@ let () =
             test_seeded_fault_campaign;
           Alcotest.test_case "sequence cases deterministic across jobs" `Quick
             test_sequence_campaign_deterministic;
+          Alcotest.test_case "case metrics merge across jobs" `Quick
+            test_campaign_metrics_merge;
         ] );
     ]

@@ -235,6 +235,43 @@ let test_solver_concat_model () =
   Alcotest.(check check_bits) "hi" (Bits.of_int ~width:8 0xBE) (Solver.model_var s (Expr.var_of hi));
   Alcotest.(check check_bits) "lo" (Bits.of_int ~width:8 0xEF) (Solver.model_var s (Expr.var_of lo))
 
+(* every readout path — live model, variable and captured model —
+   returns an asserted constant exactly, on both sides of the word
+   and byte boundaries and at packet widths *)
+let test_solver_wide_model () =
+  let st = Random.State.make [| 42 |] in
+  List.iter
+    (fun w ->
+      let s = Solver.create ctx in
+      let x = fresh w in
+      let c = Bits.random st w in
+      Solver.assert_ s (Expr.eq x (Expr.const ctx c));
+      Alcotest.(check bool) (Printf.sprintf "sat at width %d" w) true
+        (Solver.check s = Solver.Sat);
+      let name = Printf.sprintf "%s at width %d" in
+      Alcotest.(check check_bits) (name "model_eval" w) c (Solver.model_eval s x);
+      Alcotest.(check check_bits) (name "model_var" w) c
+        (Solver.model_var s (Expr.var_of x));
+      let m = Option.get (Solver.capture_model s) in
+      Alcotest.(check check_bits) (name "frozen_eval" w) c (Solver.frozen_eval m x))
+    [ 1; 7; 8; 63; 64; 65; 128; 512; 1500 ]
+
+(* bits the model leaves unassigned read as the suggested value from a
+   live solver and as zero from a captured model *)
+let test_solver_suggestion_fallback () =
+  let s = Solver.create ctx in
+  let x = fresh 32 in
+  Solver.assert_ s
+    (Expr.eq (Expr.slice x ~hi:7 ~lo:0) (Expr.of_int ctx ~width:8 0xA5));
+  Solver.suggest s x (Bits.of_int ~width:32 0x12345678);
+  Alcotest.(check bool) "sat" true (Solver.check s = Solver.Sat);
+  Alcotest.(check check_bits) "suggestion above bit 7"
+    (Bits.of_int ~width:32 0x123456A5)
+    (Solver.model_var s (Expr.var_of x));
+  let m = Option.get (Solver.capture_model s) in
+  Alcotest.(check check_bits) "zero above bit 7" (Bits.of_int ~width:32 0xA5)
+    (Solver.frozen_eval m x)
+
 (* ------------------------------------------------------------------ *)
 (* Differential property: random terms vs concrete evaluation *)
 
@@ -438,6 +475,9 @@ let () =
           Alcotest.test_case "shift" `Quick test_solver_shift;
           Alcotest.test_case "assuming" `Quick test_solver_assuming;
           Alcotest.test_case "concat model" `Quick test_solver_concat_model;
+          Alcotest.test_case "wide model readout" `Quick test_solver_wide_model;
+          Alcotest.test_case "suggestion fallback" `Quick
+            test_solver_suggestion_fallback;
         ] );
       ( "simplify",
         Alcotest.
