@@ -10,9 +10,9 @@
      dune exec bench/main.exe -- table3    Tbl. 3   BMv2 bug details
      dune exec bench/main.exe -- table4a   Tbl. 4a  large-program statistics
      dune exec bench/main.exe -- table4b   Tbl. 4b  precondition effect
-     dune exec bench/main.exe -- gate      parallel scaling, serve cold vs
-                                           warm, corpus vs random; exit 1
-                                           if any row fails
+     dune exec bench/main.exe -- gate      serve cold vs warm, corpus vs
+                                           random; exit 1 if any row
+                                           fails
 
    Absolute numbers differ from the paper (its substrate was BMv2/Tofino
    hardware and 13-hour runs); the *shape* of each result is the claim
@@ -259,28 +259,6 @@ let row check subject measured bound ok =
   Printf.printf "%-8s %-20s %-32s %-34s %s\n%!" check subject measured bound
     (if ok then "ok" else "FAIL")
 
-(* parallel exploration must pay for itself: on the branchy switch
-   program, path-jobs 4 is never slower than path-jobs 1 beyond 50 ms
-   of scheduler jitter, once path-jobs 1 does enough work (0.2 s) for
-   the comparison to mean anything *)
-let gate_scaling () =
-  let src = Progzoo.Generators.switch_tna ~stages:6 () in
-  let time path_jobs =
-    let config =
-      { Explore.default_config with Explore.max_tests = Some 400; path_jobs }
-    in
-    (generate ~config "tna" src).Oracle.result.Explore.total_time
-  in
-  let t1 = time 1 in
-  let t4 = time 4 in
-  let measured = Printf.sprintf "pj4 %.3fs" t4 in
-  if t1 <= 0.2 then
-    row "scaling" "switch6_tna" measured (Printf.sprintf "none: pj1 %.3fs <= 0.2s" t1) true
-  else
-    row "scaling" "switch6_tna" measured
-      (Printf.sprintf "<= pj1 %.3fs + 0.050s" t1)
-      (t4 <= t1 +. 0.05)
-
 (* serve: a warm request finds its prepared oracle cached, so it skips
    preparation and is faster than a cold one.  Each of 11 pairs flushes
    the cache and sends a cold then a warm request, so both series share
@@ -391,9 +369,8 @@ let gate_corpus () =
     (cc > cr && failures = 0)
 
 let gate () =
-  header "Gate — parallel scaling, serve cold vs warm, corpus vs random";
+  header "Gate — serve cold vs warm, corpus vs random";
   Printf.printf "%-8s %-20s %-32s %-34s %s\n" "check" "subject" "measured" "bound" "verdict";
-  gate_scaling ();
   gate_serve ();
   gate_corpus ();
   if !failed then exit 1

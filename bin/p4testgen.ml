@@ -41,8 +41,8 @@ let report_obs ~metrics ~trace (tracks : (string * Obs.Registry.t) list) =
         1)
 
 let run_generate file target backend max_tests max_paths seed strategy fixed_size
-    no_constraints no_random unroll seq_packets path_jobs out_file validate print_tests
-    metrics trace verbose =
+    no_constraints no_random unroll seq_packets out_file validate print_tests metrics
+    trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -68,13 +68,7 @@ let run_generate file target backend max_tests max_paths seed strategy fixed_siz
             }
           in
           let config =
-            {
-              Testgen.Explore.default_config with
-              max_tests;
-              max_paths;
-              strategy;
-              path_jobs;
-            }
+            { Testgen.Explore.default_config with max_tests; max_paths; strategy }
           in
           match Testgen.Oracle.generate ~opts ~config tgt source with
           | exception Testgen.Runtime.Exec_error msg ->
@@ -128,12 +122,7 @@ let run_generate file target backend max_tests max_paths seed strategy fixed_siz
                       else 0)
                 else 0
               in
-              (* one trace track for the run plus one per path worker
-                 (frontier driver; empty for the sequential driver) *)
-              let obs_rc =
-                report_obs ~metrics ~trace
-                  ((file, reg) :: result.Testgen.Explore.workers)
-              in
+              let obs_rc = report_obs ~metrics ~trace [ (file, reg) ] in
               if rc <> 0 then rc else obs_rc))
 
 let file =
@@ -224,28 +213,17 @@ let trace =
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging")
 
-let path_jobs =
-  Arg.(
-    value & opt int 0
-    & info [ "path-jobs" ] ~docv:"N"
-        ~doc:
-          "Explore path subtrees of each program on $(docv) worker domains \
-           (frontier-split driver).  0 (the default) keeps the classic \
-           sequential DFS; any N >= 1 produces bit-identical tests, so \
-           $(b,--path-jobs 1) is the reference for higher values.  Composes \
-           with $(b,--jobs) in batch mode through one shared domain budget")
-
 let generate_t =
   Term.(
     const run_generate $ file $ target $ backend $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ path_jobs
-    $ out_file $ validate $ print_tests $ metrics $ trace $ verbose)
+    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ out_file
+    $ validate $ print_tests $ metrics $ trace $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* batch: many programs across domains *)
 
 let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_constraints
-    no_random unroll seq_packets path_jobs metrics trace verbose =
+    no_random unroll seq_packets metrics trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -265,7 +243,7 @@ let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_
         }
       in
       let config =
-        { Testgen.Explore.default_config with max_tests; max_paths; strategy; path_jobs }
+        { Testgen.Explore.default_config with max_tests; max_paths; strategy }
       in
       let js =
         List.map
@@ -297,18 +275,13 @@ let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_
         print_endline "metrics (merged over jobs):";
         Format.printf "%a@?" Obs.Snapshot.pp b.Testgen.Oracle.merged_obs
       end;
-      (* the trace gets one track (tid) per finished job, plus the
-         job's path-worker tracks when it ran with --path-jobs *)
+      (* the trace gets one track (tid) per finished job *)
       let tracks =
-        List.concat_map
+        List.filter_map
           (fun (label, o) ->
             match o with
-            | Testgen.Oracle.Finished r ->
-                (label, Testgen.Oracle.registry r)
-                :: List.map
-                     (fun (w, wr) -> (label ^ "/" ^ w, wr))
-                     r.Testgen.Oracle.result.Testgen.Explore.workers
-            | Testgen.Oracle.Failed _ -> [])
+            | Testgen.Oracle.Finished r -> Some (label, Testgen.Oracle.registry r)
+            | Testgen.Oracle.Failed _ -> None)
           b.Testgen.Oracle.outcomes
       in
       let obs_rc = report_obs ~metrics:false ~trace tracks in
@@ -328,8 +301,8 @@ let jobs =
 let batch_t =
   Term.(
     const run_batch $ batch_files $ target $ jobs $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ path_jobs
-    $ metrics $ trace $ verbose)
+    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ metrics $ trace
+    $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* selftest: the differential fuzzing campaign (§7/§8) *)
@@ -570,8 +543,8 @@ let strategy_name = function
   | Testgen.Explore.Cov -> "cov"
 
 let run_client endpoint file target backend strategy seed max_tests max_paths
-    seq_packets path_jobs deadline_ms key ping flush shutdown out_file
-    print_tests metrics verbose =
+    seq_packets deadline_ms key ping flush shutdown out_file print_tests metrics
+    verbose =
   setup_logs verbose;
   match Serve.Wire.endpoint_of_string endpoint with
   | Error msg ->
@@ -604,7 +577,6 @@ let run_client endpoint file target backend strategy seed max_tests max_paths
             rq_max_tests = max_tests;
             rq_max_paths = max_paths;
             rq_seq_packets = seq_packets;
-            rq_path_jobs = path_jobs;
             rq_deadline_ms = deadline_ms;
             rq_key = key;
             rq_source = source;
@@ -663,11 +635,6 @@ let client_t =
             "Request by cache key alone (no source shipped); the server \
              answers $(b,unknown-fingerprint) when the oracle is not cached")
   in
-  let path_jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "path-jobs" ] ~docv:"N" ~doc:"Per-request worker domains")
-  in
   let ping = Arg.(value & flag & info [ "ping" ] ~doc:"Health-check the daemon") in
   let flush =
     Arg.(value & flag & info [ "flush" ] ~doc:"Empty the server's oracle cache")
@@ -677,9 +644,8 @@ let client_t =
   in
   Term.(
     const run_client $ endpoint_arg $ client_file $ target $ client_backend
-    $ strategy $ seed $ max_tests $ max_paths $ seq_packets $ path_jobs
-    $ deadline_ms $ key $ ping $ flush $ shutdown $ out_file $ print_tests
-    $ metrics $ verbose)
+    $ strategy $ seed $ max_tests $ max_paths $ seq_packets $ deadline_ms $ key
+    $ ping $ flush $ shutdown $ out_file $ print_tests $ metrics $ verbose)
 
 let run_fingerprint file target =
   let source = In_channel.with_open_text file In_channel.input_all in

@@ -276,9 +276,7 @@ let generate_batch ?(jobs = 1) (js : job list) : batch =
   let arr = Array.of_list js in
   let n = Array.length arr in
   let out = Array.make n (Failed "not run") in
-  (* extra domains come out of the shared pool, so [--jobs J] composed
-     with per-job [path_jobs] stays within one process-wide domain
-     budget instead of multiplying *)
+  (* extra domains come out of the shared pool *)
   Explore.Pool.iter jobs n (fun _ i -> out.(i) <- run_job arr.(i));
   (* every job owns its registry (created by its [prepare]), so the
      per-domain snapshots merge associatively with no synchronization;

@@ -128,11 +128,8 @@ val generate :
   (module Target_intf.S) ->
   string ->
   run
-(** End-to-end test generation for a P4 source string.  When
-    [config.Explore.path_jobs >= 1], path exploration itself runs on
-    worker domains ({!Explore.run}'s frontier driver, which starts
-    every subtree task from a snapshot of the splitter's state); the
-    result is bit-identical for every [path_jobs] value [>= 1]. *)
+(** End-to-end test generation for a P4 source string: prepare, then
+    one sequential {!Explore.run} on the calling domain. *)
 
 val explore_prepared :
   ?opts:Runtime.options ->
@@ -189,9 +186,7 @@ val generate_batch : ?jobs:int -> job list -> batch
     domains (the calling domain included).  [jobs] defaults to 1,
     which runs everything sequentially on the calling domain.  Extra
     domains are drawn from the process-wide {!Explore.Pool}, shared
-    with per-job intra-program parallelism
-    ([job_config.Explore.path_jobs]), so [jobs × path_jobs] never
-    oversubscribes beyond one pool's worth of domains. *)
+    with the selftest campaign and the serve daemon's executors. *)
 
 (** {1 Coverage reporting (§7)} *)
 

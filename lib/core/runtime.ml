@@ -62,9 +62,7 @@ type ctx = {
   mutable next_packet_hook : next_packet_hook;
       (** advances a finished pipeline to the next packet of a test
           sequence; installed by {!Oracle.prepare} to compose
-          {!next_packet} with the target's pipeline-template [init].
-          Term-free closure, shared across forked tasks like the other
-          hooks. *)
+          {!next_packet} with the target's pipeline-template [init]. *)
   mutable uninit_is_zero : bool;
       (** target policy for uninitialized variables: BMv2 implicitly
           zero-initializes, Tofino leaves them undefined (Tbl. 6) *)
@@ -94,18 +92,9 @@ and work =
   | WStmt of frame * Ast.stmt
   | WParserState of frame * string
   | WOp of string * (ctx -> state -> branch list)
-      (** target glue / generic continuation (§5.1.2).
-
-          INVARIANT: the closure must not capture an {!Expr.t} (or any
-          value containing one) — terms reach it only through the
-          [ctx]/[state] arguments.  {!map_terms} walks every
-          term-bearing field of a state but cannot see into closures;
-          snapshotting a state into a cloned term context relies on
-          this.  Capturing names, AST nodes, frames, and concrete
-          [Bits.t] is fine. *)
+      (** target glue / generic continuation (§5.1.2) *)
   | WExitFrame of exit_kind * string * (ctx -> state -> state)
-      (** copy-out closure run when a frame is left; same
-          no-captured-terms invariant as [WOp] *)
+      (** copy-out closure run when a frame is left *)
 
 and exit_kind = KAction | KControl | KParserFrame
 
@@ -553,8 +542,7 @@ let add_output ?(note = "") ~port ~data st =
    (the declaring block's type name plus the instance name), so the
    same instance resolves to the same cells on every pipeline
    invocation of a test sequence.  Updates are order-preserving
-   in-place list rewrites: the assoc order — and with it
-   [map_terms]/snapshot traversal order — depends only on declaration
+   in-place list rewrites: the assoc order depends only on declaration
    order, never on write order. *)
 
 (* stable update: rewrite the one matching binding in place *)
@@ -671,73 +659,6 @@ let concolic_call ctx ~name ~impl ~width args st =
   let v = fresh_var ctx ("$concolic_" ^ name) width in
   let call = { cc_var = v; cc_name = name; cc_args = args; cc_impl = impl } in
   ({ st with concolic = call :: st.concolic }, v)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots.  A state is immutable but its terms belong to one term
-   context; carrying a state across a fork means rewriting every term
-   it holds into the receiving context.  [map_terms] enumerates every
-   term-bearing field — the work stack holds none by the invariant on
-   {!work} — so composing it with {!Expr.importer} is a complete
-   snapshot restore. *)
-
-let map_terms f st =
-  let map_key = function
-    | SkExact e -> SkExact (f e)
-    | SkTernary (v, m) -> SkTernary (f v, f m)
-    | SkLpm (e, p) -> SkLpm (f e, p)
-    | SkRange (a, b) -> SkRange (f a, f b)
-    | SkOptional o -> SkOptional (Option.map f o)
-  in
-  let map_entry en =
-    {
-      en with
-      se_keys = List.map (fun (n, k) -> (n, map_key k)) en.se_keys;
-      se_args = List.map (fun (n, e) -> (n, f e)) en.se_args;
-    }
-  in
-  {
-    st with
-    env = Env.map f st.env;
-    path_cond = List.map f st.path_cond;
-    chunks = List.map f st.chunks;
-    live = f st.live;
-    emit_buf = f st.emit_buf;
-    in_port = f st.in_port;
-    entries = List.map map_entry st.entries;
-    registers = List.map (fun (n, arr) -> (n, Array.map f arr)) st.registers;
-    counters = List.map (fun (n, arr) -> (n, Array.map f arr)) st.counters;
-    meters = List.map (fun (n, arr) -> (n, Array.map f arr)) st.meters;
-    tbl_misses = List.map (fun (n, ks) -> (n, List.map f ks)) st.tbl_misses;
-    concolic =
-      List.map
-        (fun cc -> { cc with cc_var = f cc.cc_var; cc_args = List.map f cc.cc_args })
-        st.concolic;
-    outputs =
-      List.map (fun o -> { o with o_port = f o.o_port; o_data = f o.o_data }) st.outputs;
-    seq_done =
-      List.map
-        (fun pd ->
-          {
-            pd with
-            pd_chunks = List.map f pd.pd_chunks;
-            pd_in_port = f pd.pd_in_port;
-            pd_outputs =
-              List.map (fun o -> { o with o_port = f o.o_port; o_data = f o.o_data }) pd.pd_outputs;
-          })
-        st.seq_done;
-  }
-
-let iter_terms f st = ignore (map_terms (fun e -> f e; e) st)
-
-(* A context for a forked subtree task: shares the immutable
-   program-wide data, takes the fork's own term context / metrics
-   registry / rng.  Hooks are target-installed functions on the
-   parent; they carry no terms (same closure discipline as {!work})
-   and are shared.  The copy picks up [fresh_ctr] at its fork-time
-   value, which must be final for the parent — a name minted in the
-   task below the parent's high-water mark could collide with a
-   registry entry of a sibling branch at a different width. *)
-let clone_ctx_for_task ctx ~ectx ~obs ~rng = { ctx with ectx; obs; rng }
 
 (* ------------------------------------------------------------------ *)
 (* Work-stack helpers *)

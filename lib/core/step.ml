@@ -92,11 +92,6 @@ let bind_params ctx prefix (params : Ast.param list) (bindings : binding list) s
           declare ctx ~init:(init_uninit ctx) p.par_typ dst st)
     st params bindings
 
-(* NOTE: [copy_out] is wrapped in [WExitFrame] closures below; like
-   every deferred work-item closure, it may capture only names, AST
-   nodes, and bindings — never an [Expr.t] — so that
-   [Runtime.map_terms] sees every term a suspended state holds (the
-   snapshot invariant documented on {!Runtime.work}). *)
 let copy_out ctx prefix (params : Ast.param list) (bindings : binding list) st =
   List.fold_left2
     (fun st (p : Ast.param) b ->

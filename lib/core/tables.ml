@@ -386,7 +386,11 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
        any PAST application that took the miss branch — the entry is
        installed before the first packet, so it would retroactively
        turn that miss into a hit.  With no earlier applications both
-       guards vanish and this is the historical shape, bit for bit. *)
+       guards vanish and this is the historical shape, bit for bit.
+       A guard that reads a tainted key (an earlier packet's key from
+       an invalid header, say) may fail on the device, so the entry
+       may match where the branch promises it does not: the branch is
+       unpredictable, like a tainted re-hit. *)
     let past_misses =
       List.filter_map
         (fun (tname, mkeys) -> if tname = tbl.tbl_name then Some mkeys else None)
@@ -402,8 +406,9 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
     in
     let dodge sy_keys cond =
       match not_matching prev @ miss_guards sy_keys with
-      | [] -> cond
-      | guards -> Expr.conj ctx.ectx (cond :: guards)
+      | [] -> (cond, false)
+      | guards ->
+          (Expr.conj ctx.ectx (cond :: guards), List.exists Expr.tainted guards)
     in
     let synth = synthesize_match ctx keys in
     let restriction = entry_restriction ctx tbl keys synth.sy_vars in
@@ -425,18 +430,24 @@ let apply ctx fr st (tbl : Ast.table) : applied list =
                   se_priority = None;
                 }
               in
-              let cond =
-                match restriction with
-                | Some r -> Expr.band synth.sy_cond r
-                | None -> synth.sy_cond
+              let cond, guard_tainted =
+                dodge synth.sy_keys
+                  (match restriction with
+                  | Some r -> Expr.band synth.sy_cond r
+                  | None -> synth.sy_cond)
               in
               Some
                 {
                   ap_action = aname;
                   ap_args = args;
                   ap_hit = true;
-                  ap_cond = Some (dodge synth.sy_keys cond);
-                  ap_state = { st0 with entries = entry :: st0.entries };
+                  ap_cond = Some cond;
+                  ap_state =
+                    {
+                      st0 with
+                      entries = entry :: st0.entries;
+                      ctrl_taint = st0.ctrl_taint || guard_tainted;
+                    };
                   ap_label = Printf.sprintf "%s:hit:%s" tbl.tbl_name aname;
                 }
             end)

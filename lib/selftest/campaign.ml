@@ -10,8 +10,6 @@
 
    - seed determinism: regenerating with the same seed yields the
      bit-identical suite;
-   - parallel determinism: the frontier driver ([path_jobs >= 1])
-     yields the same suite as sequential DFS;
    - strategy agreement: the Rnd and Dfs exploration orders (the main
      run explores with Cov) also produce suites that pass on the
      model.
@@ -258,19 +256,6 @@ let check_invariants ~arch ~seed ~max_tests ~seq_packets ~(i : int) src :
           let a = gen base_cfg and b = gen base_cfg in
           if suite_fingerprint a <> suite_fingerprint b then
             Some "same seed produced two different suites"
-          else None )
-      :: !checks;
-  if i mod 7 = 0 then
-    checks :=
-      ( "path_jobs determinism",
-        fun () ->
-          (* the frontier driver's contract: bit-identical suites for
-             any path_jobs >= 1 (pj=1 is the reference; pj=0, the
-             classic sequential DFS, may order tests differently) *)
-          let ref_ = gen { base_cfg with Explore.path_jobs = 1 } in
-          let par = gen { base_cfg with Explore.path_jobs = 2 } in
-          if suite_fingerprint ref_ <> suite_fingerprint par then
-            Some "path_jobs=2 suite differs from the path_jobs=1 reference"
           else None )
       :: !checks;
   if i mod 3 = 0 then begin

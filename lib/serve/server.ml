@@ -5,9 +5,9 @@
    [Wire]).  The accept loop never runs oracle work: it either enqueues
    the connection for an executor or rejects it with a `busy` frame
    when the queue is full.  Executor domains are paid for out of
-   [Explore.Pool] — the same budget the frontier driver and the batch
-   runner draw from — so a serving process never oversubscribes the
-   host, whatever mix of per-request [path_jobs] the clients ask for.
+   [Explore.Pool] — the same budget the batch runner and the selftest
+   campaign draw from — so a serving process shares one domain budget
+   with them.
 
    The cache holds [Oracle.prepared] values keyed by
    [Oracle.fingerprint].  A hit skips parsing, typing and the mid-end
@@ -192,7 +192,6 @@ let handle_generate t fd ~admitted (rq : Wire.request) =
                       max_tests = rq.rq_max_tests;
                       max_paths = rq.rq_max_paths;
                       strategy;
-                      path_jobs = rq.rq_path_jobs;
                       on_test = Some on_test;
                       deadline;
                     }

@@ -98,7 +98,6 @@ type request = {
   rq_max_tests : int option;
   rq_max_paths : int option;
   rq_seq_packets : int;
-  rq_path_jobs : int;
   rq_deadline_ms : int option;  (* measured from admission *)
   rq_key : string option;  (* probe by fingerprint, no source shipped *)
   rq_source : string option;
@@ -114,7 +113,6 @@ let default_request =
     rq_max_tests = None;
     rq_max_paths = None;
     rq_seq_packets = 1;
-    rq_path_jobs = 0;
     rq_deadline_ms = None;
     rq_key = None;
     rq_source = None;
@@ -156,7 +154,6 @@ let encode_request (r : request) : string =
   kvo "max-tests" (Option.map string_of_int r.rq_max_tests);
   kvo "max-paths" (Option.map string_of_int r.rq_max_paths);
   kv "seq-packets" (string_of_int r.rq_seq_packets);
-  kv "path-jobs" (string_of_int r.rq_path_jobs);
   kvo "deadline-ms" (Option.map string_of_int r.rq_deadline_ms);
   kvo "fingerprint" r.rq_key;
   Buffer.add_char b '\n';
@@ -222,8 +219,6 @@ let decode_request (payload : string) : (request, string) result =
                         int_of k v (fun i -> r := { !r with rq_max_paths = Some i })
                     | "seq-packets" ->
                         int_of k v (fun i -> r := { !r with rq_seq_packets = i })
-                    | "path-jobs" ->
-                        int_of k v (fun i -> r := { !r with rq_path_jobs = i })
                     | "deadline-ms" ->
                         int_of k v (fun i ->
                             r := { !r with rq_deadline_ms = Some i })

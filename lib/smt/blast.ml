@@ -31,23 +31,6 @@ let create ectx sat =
 let lit_true b = b.tt
 let lit_false b = Sat.negate b.tt
 
-(* Warm clone onto an already-cloned context/solver pair.  The caches
-   are keyed by term tag, variable id, taint id, and SAT literals —
-   all preserved by [Expr.importer] and [Sat.clone] respectively — so
-   copying them verbatim keeps every pre-fork circuit shared. *)
-let clone b ~ectx ~sat =
-  {
-    ectx;
-    sat;
-    tt = b.tt;
-    expr_cache = Hashtbl.copy b.expr_cache;
-    var_cache = Hashtbl.copy b.var_cache;
-    taint_cache = Hashtbl.copy b.taint_cache;
-    gate_cache = Hashtbl.copy b.gate_cache;
-    cache_hits = 0;
-    cache_misses = 0;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Gates.  Each returns a literal defined by Tseitin clauses; results
    are cached structurally so shared subcircuits are built once. *)

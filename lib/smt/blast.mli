@@ -12,13 +12,6 @@ type t
 
 val create : Expr.ctx -> Sat.t -> t
 
-val clone : t -> ectx:Expr.ctx -> sat:Sat.t -> t
-(** Warm copy bound to [ectx]/[sat], which must be a {!Expr.clone_ctx}
-    clone and a {!Sat.clone} of this blaster's own pair: the caches are
-    keyed by term tags, variable/taint ids, and SAT literals, all of
-    which those clones preserve, so every pre-fork circuit stays
-    shared.  Cache-traffic counters restart at zero. *)
-
 val lit_true : t -> int
 val lit_false : t -> int
 

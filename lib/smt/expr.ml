@@ -193,96 +193,6 @@ let fresh_taint ctx w =
   mk ctx (Taint ctx.next_taint) w
 
 (* ------------------------------------------------------------------ *)
-(* Clone-from-parent: the warm-handoff path for forked explorations.
-
-   A clone is an empty arena that inherits the parent's variable
-   registry (shared [var] records — they are immutable and carry no
-   context) and all allocation counters.  Terms are carried over on
-   demand by {!importer}, which re-interns a parent term's DAG into
-   the clone *preserving tags*: an imported term has the same [tag],
-   [width], [tainted] flag, and (for [Var] nodes) the same [vid] as
-   the original.  Caches keyed by tag or vid that were built against
-   the parent — in particular a cloned solver's blast caches — remain
-   valid for imported terms.
-
-   Two disciplines make this sound:
-   - the parent must be frozen (no interning) while clones import
-     from it, because [importer] reads the parent's term graph;
-   - all imports into a clone must happen before the clone interns
-     native terms, so a native term can never occupy a tag below
-     [next_tag]'s starting point (native terms allocate fresh tags at
-     or above the parent's final [next_tag], imports stay below it). *)
-
-let clone_ctx parent =
-  {
-    ctx_id = Atomic.fetch_and_add ctx_counter 1;
-    arena = Hashtbl.create 4096;
-    next_tag = parent.next_tag;
-    registry = Hashtbl.copy parent.registry;
-    next_vid = parent.next_vid;
-    fresh_counter = parent.fresh_counter;
-    next_taint = parent.next_taint;
-    taint_memo = Hashtbl.create 1024;
-    simp_memo = Hashtbl.create 4096;
-    known_memo = Hashtbl.create 4096;
-    support_memo = Hashtbl.create 4096;
-    digest_memo = Hashtbl.create 1024;
-    rewrite_hits = 0;
-  }
-
-(* intern preserving an existing identity (tag/width/taint) instead of
-   allocating; used only by [importer], where uniqueness of the source
-   arena guarantees the bucket cannot already hold a different term
-   with the same structure under another tag *)
-let intern_import ctx node ~tag ~width ~tainted =
-  let h = Node_key.hash node in
-  let bucket = Option.value (Hashtbl.find_opt ctx.arena h) ~default:[] in
-  match List.find_opt (fun e -> Node_key.equal e.node node) bucket with
-  | Some e -> e
-  | None ->
-      let e = { node; tag; width; tainted; ctx } in
-      Hashtbl.replace ctx.arena h (e :: bucket);
-      e
-
-let importer ctx =
-  let memo : (int, t) Hashtbl.t = Hashtbl.create 1024 in
-  let rec go e =
-    if e.ctx == ctx then e
-    else
-      match Hashtbl.find_opt memo e.tag with
-      | Some e' -> e'
-      | None ->
-          let node' =
-            match e.node with
-            | (Const _ | Var _ | Taint _) as n -> n
-            | Not a -> Not (go a)
-            | And (a, b) -> And (go a, go b)
-            | Or (a, b) -> Or (go a, go b)
-            | Xor (a, b) -> Xor (go a, go b)
-            | Add (a, b) -> Add (go a, go b)
-            | Sub (a, b) -> Sub (go a, go b)
-            | Mul (a, b) -> Mul (go a, go b)
-            | Udiv (a, b) -> Udiv (go a, go b)
-            | Urem (a, b) -> Urem (go a, go b)
-            | Concat (a, b) -> Concat (go a, go b)
-            | Slice (a, h, l) -> Slice (go a, h, l)
-            | Eq (a, b) -> Eq (go a, go b)
-            | Ult (a, b) -> Ult (go a, go b)
-            | Slt (a, b) -> Slt (go a, go b)
-            | Ite (a, b, c) -> Ite (go a, go b, go c)
-            | Shl (a, b) -> Shl (go a, go b)
-            | Lshr (a, b) -> Lshr (go a, go b)
-            | Ashr (a, b) -> Ashr (go a, go b)
-          in
-          let e' =
-            intern_import ctx node' ~tag:e.tag ~width:e.width ~tainted:e.tainted
-          in
-          Hashtbl.add memo e.tag e';
-          e'
-  in
-  go
-
-(* ------------------------------------------------------------------ *)
 (* Smart constructors.  Leaves take the context explicitly; compound
    constructors inherit it from their operands. *)
 
@@ -586,9 +496,8 @@ let vars e =
    to even ids (2*vid), taint atoms to odd ids (2*id+1), so a single
    int namespace covers both kinds of free symbol without collision.
    Supports are sorted deduplicated arrays, merged bottom-up and
-   memoised per hash-consed tag in the term's context; tags are
-   preserved by [clone_ctx]/[importer], and clones get fresh memo
-   tables, so the memo never leaks across contexts. *)
+   memoised per hash-consed tag in the term's context, so the memo
+   never leaks across contexts. *)
 
 let sym_of_var v = 2 * v.vid
 let sym_of_taint id = (2 * id) + 1
@@ -638,8 +547,7 @@ let support e =
 
 (* Structural digest: a context-independent fingerprint of the term
    DAG, memoised per tag.  Variables hash by name and width (names are
-   stable across [clone_ctx] and across separate compilations of the
-   same program), so equal digests identify structurally identical
+   stable across separate compilations of the same program), so equal digests identify structurally identical
    constraints even when they live in different contexts — the
    property the cross-request UNSAT cache relies on. *)
 let digest e =

@@ -77,23 +77,6 @@ val fresh_var : ctx -> string -> int -> t
 
 val fresh_taint : ctx -> int -> t
 
-(** {1 Warm handoff} *)
-
-val clone_ctx : ctx -> ctx
-(** [clone_ctx parent] is an empty context that inherits [parent]'s
-    variable registry and all allocation counters ([next_tag],
-    [next_vid], [fresh_counter], [next_taint]).  Terms are carried
-    over on demand with {!importer}.  The parent must not intern new
-    terms while clones are importing from it. *)
-
-val importer : ctx -> t -> t
-(** [importer ctx] is a memoizing deep re-intern into [ctx] that
-    preserves each source term's [tag], width, taint flag, and
-    variable identities, so caches keyed by tag or vid built against
-    the parent remain valid for the imported copies.  All imports
-    into a clone must happen before the clone interns native terms.
-    Terms already belonging to [ctx] are returned unchanged. *)
-
 (** {1 Constructors} *)
 
 val const : ctx -> Bitv.Bits.t -> t

@@ -2,10 +2,9 @@
    UNSAT-slice memoisation (KLEE's counterexample-cache design,
    adapted to the explorer's DFS discipline).
 
-   The explorer maintains the invariant that the *current path* (base
-   conditions plus the DFS spine) is satisfiable: it only descends
-   into branches whose feasibility was just established, and task
-   bases were proven satisfiable by the splitter.  Under that
+   The explorer maintains the invariant that the *current path* (the
+   DFS spine) is satisfiable: it only descends into branches whose
+   feasibility was just established.  Under that
    invariant, the feasibility of path ∪ {c} only depends on the
    *slice* of c — the connected component of c in the constraint
    graph of path ∪ {c}, where two conditions are adjacent iff their
@@ -23,7 +22,7 @@
    1. a ring of captured models (from probe checks and emitted
       tests).  Any frozen total assignment satisfying the whole slice
       witnesses feasibility — provenance is irrelevant, so models
-      survive solver rebuilds and task handoffs;
+      survive solver rebuilds;
    2. a SAT-set cache: every successful probe check proves the digest
       set of path ∪ {c} simultaneously satisfiable; a later slice
       that is a *subset* of a cached SAT set is satisfiable with no
@@ -219,7 +218,6 @@ let model_ring_len = 8
 type t = {
   cells : cells;
   uf : uf;
-  mutable base : cond list;  (* permanent conditions, newest first *)
   mutable spine : (cond * int) list;  (* active conds + trail mark, newest first *)
   models : cmodel option array;  (* ring of assignment witnesses *)
   mutable mnext : int;
@@ -252,7 +250,6 @@ let create ?obs ?store () =
     {
       cells = make_cells reg;
       uf = uf_create ();
-      base = [];
       spine = [];
       models = Array.make model_ring_len None;
       mnext = 0;
@@ -267,47 +264,6 @@ let create ?obs ?store () =
   seed_from_store t;
   t
 
-(* A task clone shares nothing mutable with its parent: digest sets
-   are re-inserted (the member arrays themselves are immutable and
-   shared), models share the frozen snapshot but get a private memo
-   (the memo table is the only mutable part, and tasks run on worker
-   domains).  Active conditions do not carry over — the task asserts
-   its own base. *)
-let clone ?obs parent =
-  let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
-  let t =
-    {
-      cells = make_cells reg;
-      uf = uf_create ();
-      base = [];
-      spine = [];
-      models = Array.make model_ring_len None;
-      mnext = 0;
-      sat_sets = dring_create ();
-      unsat_sets = dring_create ();
-      bytes = 0;
-      store = parent.store;
-      last_slice = None;
-      last_cdigest = None;
-    }
-  in
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some m ->
-          t.models.(i) <- Some { cm = m.cm; cm_memo = Hashtbl.create 256 };
-          add_bytes t (Solver.model_bytes m.cm)
-      | None -> ())
-    parent.models;
-  t.mnext <- parent.mnext;
-  Array.iter
-    (function Some s -> add_bytes t (dring_insert t.sat_sets s) | None -> ())
-    parent.sat_sets.slots;
-  Array.iter
-    (function Some s -> add_bytes t (dring_insert t.unsat_sets s) | None -> ())
-    parent.unsat_sets.slots;
-  t
-
 let cond_of e = { q_expr = e; q_syms = Expr.support e; q_digest = Expr.digest e }
 
 let link_uf u (syms : int array) =
@@ -315,11 +271,6 @@ let link_uf u (syms : int array) =
     for i = 1 to Array.length syms - 1 do
       uf_union u syms.(0) syms.(i)
     done
-
-let assert_base t e =
-  let c = cond_of e in
-  link_uf t.uf c.q_syms;
-  t.base <- c :: t.base
 
 let push t e =
   let mark = t.uf.tlen in
@@ -343,7 +294,7 @@ let slice_of t (csyms : int array) : cond list =
   let in_slice (c : cond) =
     Array.length c.q_syms > 0 && Hashtbl.mem roots (uf_find t.uf c.q_syms.(0))
   in
-  List.filter in_slice (List.map fst t.spine) @ List.filter in_slice t.base
+  List.filter in_slice (List.map fst t.spine)
 
 type verdict = Sat_hit | Unsat_hit | Unknown
 
@@ -506,11 +457,7 @@ let check t (e : Expr.t) : verdict =
 let note_sat t (m : Solver.model option) =
   (match t.last_cdigest with
   | Some cd ->
-      let path =
-        cd
-        :: (List.map (fun (c, _) -> c.q_digest) t.spine
-           @ List.map (fun c -> c.q_digest) t.base)
-      in
+      let path = cd :: List.map (fun (c, _) -> c.q_digest) t.spine in
       add_bytes t (dring_insert t.sat_sets (dset_of_list path))
   | None -> ());
   note_model t m

@@ -2,8 +2,7 @@
     slicing plus model reuse plus UNSAT-slice memoisation (KLEE's
     counterexample-cache design).
 
-    The cache mirrors the explorer's DFS spine: {!assert_base} /
-    {!push} / {!pop} keep an undoable union-find over the free-symbol
+    The cache mirrors the explorer's DFS spine: {!push} / {!pop} keep an undoable union-find over the free-symbol
     supports of the active path conditions.  {!check} answers a
     branch-feasibility question from three layers — a SAT-set
     subsumption shortcut, a ring of captured models, and an UNSAT-set
@@ -41,16 +40,6 @@ val create : ?obs:Obs.Registry.t -> ?store:store -> unit -> t
     gauge).  Each digest-set ring holds 512 sets.  When [store] is
     given, the cache seeds from it at creation; call {!publish} to
     fold new entries back. *)
-
-val clone : ?obs:Obs.Registry.t -> t -> t
-(** A task-handoff copy: digest sets and captured models carry over,
-    the active-condition state does not (the task asserts its own
-    base).  The clone shares no mutable structure with the parent, so
-    parent and clones may be used from different domains (models'
-    frozen snapshots are shared read-only). *)
-
-val assert_base : t -> Expr.t -> unit
-(** Register a permanent path condition (the task base). *)
 
 val push : t -> Expr.t -> unit
 (** Register a DFS spine condition; mirror of the solver's push. *)

@@ -703,80 +703,6 @@ let backtrack s = cancel_until s 0
 
 let snapshot s = Array.sub s.assign 0 s.nvars
 
-(* ------------------------------------------------------------------ *)
-(* Warm clone.  Copies the whole solver — clause database, learnt
-   clauses, saved/target phases, VSIDS activities and heap, and the
-   level-0 trail — so a forked exploration starts with everything the
-   parent learnt instead of an empty solver.
-
-   Clauses are aliased (both watchers of a clause reference the same
-   array) and [propagate] permutes them in place.  The copy therefore
-   goes through an identity-keyed memo table so every alias in the
-   clone points at the clone's own copy of the array.
-
-   Only a solver at decision level 0 can be cloned: reasons are
-   dropped ([analyze]/[lit_redundant] never consult reasons of
-   level-0 variables), which would be unsound for a trail that still
-   has propagations above level 0. *)
-
-module Clause_tbl = Hashtbl.Make (struct
-  type t = clause
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let clone s =
-  if decision_level s > 0 then
-    invalid_arg "Sat.clone: solver not at decision level 0";
-  let memo = Clause_tbl.create 4096 in
-  let copy_clause c =
-    match Clause_tbl.find_opt memo c with
-    | Some c' -> c'
-    | None ->
-        let c' = Array.copy c in
-        Clause_tbl.add memo c c';
-        c'
-  in
-  let copy_wl (w : Wl.t) : Wl.t =
-    {
-      cls = Array.map copy_clause (Array.sub w.cls 0 w.len);
-      lit = Array.sub w.lit 0 w.len;
-      len = w.len;
-    }
-  in
-  let copy_int_vec (v : int Vec.t) : int Vec.t =
-    { data = Array.copy v.data; len = v.len; dummy = v.dummy }
-  in
-  {
-    nvars = s.nvars;
-    ok = s.ok;
-    watches = Array.map copy_wl s.watches;
-    bin_watches = Array.map copy_wl s.bin_watches;
-    assign = Array.copy s.assign;
-    level = Array.copy s.level;
-    (* level-0 restore: reasons are never consulted below level 1 *)
-    reason = Array.make (Array.length s.reason) None;
-    activity = Array.copy s.activity;
-    polarity = Array.copy s.polarity;
-    target = Array.copy s.target;
-    heap_pos = Array.copy s.heap_pos;
-    heap = copy_int_vec s.heap;
-    var_inc = s.var_inc;
-    trail = copy_int_vec s.trail;
-    trail_lim = copy_int_vec s.trail_lim;
-    qhead = s.qhead;
-    constrained = Array.copy s.constrained;
-    decisions = 0;
-    propagations = 0;
-    conflicts = 0;
-    restarts = 0;
-    learnt_clauses = 0;
-    learnt_literals = 0;
-    minimised_literals = 0;
-    seen = Array.make (Array.length s.seen) false;
-  }
-
 let value s v = s.assign.(v) = 1
 
 let lit_value s l = lit_val s l = 1

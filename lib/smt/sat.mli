@@ -64,14 +64,6 @@ val snapshot : t -> int array
 (** Copy of the current assignment array (0 unassigned / 1 true /
     2 false per variable), valid until mutated by the caller. *)
 
-val clone : t -> t
-(** Deep copy of the whole solver — clause database, learnt clauses,
-    saved/target phases, activities, and the level-0 trail — so a
-    forked exploration inherits everything the parent learnt.  Search
-    counters start at zero in the clone.  Raises [Invalid_argument]
-    unless the solver is at decision level 0 (call {!backtrack}
-    first). *)
-
 val value : t -> int -> bool
 (** [value s v]: variable [v]'s value in the model of the last
     successful {!solve}. *)

@@ -37,8 +37,8 @@ type t = {
      are read from here so they survive backtracking, and branch
      conditions already true under it skip the solver entirely.  Each
      Sat answer replaces the array with a fresh one and nothing ever
-     writes into it, so captured models and clones share it instead of
-     copying it. *)
+     writes into it, so captured models share it instead of copying
+     it. *)
   mutable model_snap : int array;
   (* per-variable suggested values for free inputs; consulted when the
      SAT core left the bit unassigned (unconstrained vars are no longer
@@ -86,27 +86,6 @@ let create ?obs ectx =
   }
 
 let obs s = s.metrics.m_obs
-
-(* Warm handoff: clone the full solver stack onto a cloned term
-   context.  The parent must have no open scopes — popped scopes
-   leave only permanently-disabled guard units behind, which carry
-   over harmlessly.  The clone starts with fresh metrics (zeroed
-   counters all around, so deltas flush correctly into [obs]). *)
-let clone ?obs ~ectx s =
-  if s.scopes <> [] then invalid_arg "Solver.clone: open scopes";
-  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
-  Sat.backtrack s.sat;
-  let sat = Sat.clone s.sat in
-  let blast = Blast.clone s.blast ~ectx ~sat in
-  {
-    ectx;
-    sat;
-    blast;
-    metrics = make_metrics obs ectx sat;
-    scopes = [];
-    model_snap = s.model_snap;
-    suggestions = Hashtbl.copy s.suggestions;
-  }
 
 let flush_stats s =
   let m = s.metrics in
@@ -261,8 +240,7 @@ let holds s e =
    an unconstrained bit can take any value, and the zero default makes
    the assignment a fixed total function for all time.  Evaluation
    only performs read-only blast lookups ([var_bits]/[taint_bits]),
-   never blasting, so captured models are safe to consult from worker
-   domains while the originating solver's structures are frozen. *)
+   never blasting, so a captured model never changes its solver. *)
 
 type model = { m_snap : int array; m_blast : Blast.t }
 
@@ -270,20 +248,16 @@ let capture_model s =
   if Array.length s.model_snap = 0 then None
   else Some { m_snap = s.model_snap; m_blast = s.blast }
 
-(* The width guards matter for models consulted across term contexts
-   (a cold-replay task evaluating a splitter-captured model): a name
-   or id can denote a different-width symbol there, and the assignment
-   must stay total — mismatches read as zero like unblasted symbols. *)
 let frozen_eval m e =
   Expr.eval
     ~taint:(fun id w ->
       match Blast.taint_bits m.m_blast id with
-      | Some ls when Array.length ls = w -> bits_of_lits m.m_snap ls
-      | Some _ | None -> Bits.zero w)
+      | Some ls -> bits_of_lits m.m_snap ls
+      | None -> Bits.zero w)
     (fun v ->
       match Blast.var_bits m.m_blast v with
-      | Some ls when Array.length ls = v.Expr.vwidth -> bits_of_lits m.m_snap ls
-      | Some _ | None -> Bits.zero v.Expr.vwidth)
+      | Some ls -> bits_of_lits m.m_snap ls
+      | None -> Bits.zero v.Expr.vwidth)
     e
 
 let model_holds m e = Bits.is_ones (frozen_eval m e)

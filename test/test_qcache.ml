@@ -156,47 +156,74 @@ let slicing_equisat_prop =
          List.length (List.concat comps) = List.length conds
          && sat_of conds = List.for_all sat_of comps))
 
-(* the same property over *real* path conditions: every frontier
-   task's captured state carries the recorded branch conditions of a
-   feasible path, and fuzzed programs vary their shape *)
+(* The final states of the first [n] feasible paths in DFS order; each
+   carries the branch conditions the explorer records along its path. *)
+let path_states ~n ~sat (ctx : Runtime.ctx) st0 =
+  let found = ref [] in
+  let full () = List.length !found >= n in
+  let rec go st =
+    if not (full ()) then
+      match Testgen.Step.step ctx st with
+      | exception Runtime.Exec_error _ -> ()
+      | None -> found := st :: !found
+      | Some branches ->
+          List.iter
+            (fun (b : Runtime.branch) ->
+              let st' =
+                match b.Runtime.br_cond with
+                | Some c -> Runtime.add_cond c b.Runtime.br_state
+                | None -> b.Runtime.br_state
+              in
+              if (not (full ())) && sat st'.Runtime.path_cond then go st')
+            branches
+  in
+  go st0;
+  List.rev !found
+
+(* the same property over *real* path conditions: a finished path's
+   state carries the recorded branch conditions of a feasible path, and
+   fuzzed programs vary their shape *)
 let test_randprog_path_slices () =
   List.iter
     (fun seed ->
       let gen = Randprog.generate_for ~arch:Randprog.V1model ~seed in
       let p = Oracle.prepare v1model gen.Randprog.src in
-      let config = { Explore.default_config with Explore.split_tasks = 4 } in
-      let fr = Explore.frontier ~config p.Oracle.ctx (Oracle.initial_state p) in
+      let ectx = p.Oracle.ctx.Runtime.ectx in
+      let sat cs =
+        let s = Solver.create ectx in
+        List.iter (Solver.assert_ s) cs;
+        Solver.check s = Solver.Sat
+      in
+      let states =
+        path_states ~n:4 ~sat p.Oracle.ctx (Oracle.initial_state p)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: a state with several conditions" seed)
+        true
+        (List.exists (fun st -> List.length st.Runtime.path_cond >= 2) states);
       List.iteri
-        (fun k (_, st) ->
-          if k < 4 then begin
-            let conds = st.Runtime.path_cond in
-            let ectx = p.Oracle.ctx.Runtime.ectx in
-            let sat cs =
-              let s = Solver.create ectx in
-              List.iter (Solver.assert_ s) cs;
-              Solver.check s = Solver.Sat
-            in
-            let comps = Qcache.components conds in
-            Alcotest.(check int)
-              (Printf.sprintf "seed %d prefix %d: partition covers" seed k)
-              (List.length conds)
-              (List.length (List.concat comps));
-            Alcotest.(check bool)
-              (Printf.sprintf "seed %d prefix %d: equisatisfiable" seed k)
-              (sat conds)
-              (List.for_all sat comps);
-            (* an infeasible variant: negating one condition must keep
-               the property (the broken component answers Unsat) *)
-            match conds with
-            | c0 :: rest when Expr.width c0 = 1 ->
-                let neg = Expr.lognot c0 :: c0 :: rest in
-                Alcotest.(check bool)
-                  (Printf.sprintf "seed %d prefix %d: unsat variant" seed k)
-                  (sat neg)
-                  (List.for_all sat (Qcache.components neg))
-            | _ -> ()
-          end)
-        fr)
+        (fun k st ->
+          let conds = st.Runtime.path_cond in
+          let comps = Qcache.components conds in
+          Alcotest.(check int)
+            (Printf.sprintf "seed %d prefix %d: partition covers" seed k)
+            (List.length conds)
+            (List.length (List.concat comps));
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d prefix %d: equisatisfiable" seed k)
+            (sat conds)
+            (List.for_all sat comps);
+          (* an infeasible variant: negating one condition must keep
+             the property (the broken component answers Unsat) *)
+          match conds with
+          | c0 :: rest when Expr.width c0 = 1 ->
+              let neg = Expr.lognot c0 :: c0 :: rest in
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d prefix %d: unsat variant" seed k)
+                (sat neg)
+                (List.for_all sat (Qcache.components neg))
+          | _ -> ())
+        states)
     [ 1; 7; 23 ]
 
 (* ------------------------------------------------------------------ *)
@@ -218,7 +245,7 @@ let test_unsat_replay () =
   let store = Qcache.create_store () in
   let reg = Obs.Registry.create () in
   let q = Qcache.create ~obs:reg ~store () in
-  Qcache.assert_base q (Expr.eq x (n 3));
+  Qcache.push q (Expr.eq x (n 3));
   Qcache.push q (Expr.ult y (n 10));
   (* x = 3 ∧ x = 5 is unsat, and no derived/constant witness exists *)
   let c = Expr.eq x (n 5) in
@@ -236,7 +263,7 @@ let test_unsat_replay () =
   (* a second run over the same program state: seeded, answers without
      any solver interaction *)
   let q2 = Qcache.create ~obs:(Obs.Registry.create ()) ~store () in
-  Qcache.assert_base q2 (Expr.eq x (n 3));
+  Qcache.push q2 (Expr.eq x (n 3));
   Alcotest.(check bool) "fresh cache seeded from store" true
     (Qcache.check q2 c = Qcache.Unsat_hit)
 
@@ -248,7 +275,7 @@ let test_model_and_subsumption () =
   let q = Qcache.create ~obs:reg () in
   (* a real probe check: x = 77 is sat; harvest the solver model *)
   let s = Solver.create ectx in
-  Qcache.assert_base q (Expr.eq x (n 77));
+  Qcache.push q (Expr.eq x (n 77));
   Solver.assert_ s (Expr.eq x (n 77));
   Alcotest.(check bool) "probe sat" true (Solver.check s = Solver.Sat);
   Qcache.note_model q (Solver.capture_model s);
@@ -269,20 +296,6 @@ let test_model_and_subsumption () =
     (Qcache.check q (Expr.eq y (n 123)) = Qcache.Sat_hit);
   Alcotest.(check bool) "witness_hits counted" true
     (Obs.Snapshot.get_int (Obs.Registry.snapshot reg) "qcache.witness_hits" >= 1)
-
-let test_clone_carries_facts () =
-  let ectx = Expr.create_ctx () in
-  let x = Expr.var ectx "cx" 8 in
-  let n k = Expr.of_int ectx ~width:8 k in
-  let q = Qcache.create () in
-  Qcache.assert_base q (Expr.eq x (n 3));
-  let c = Expr.eq x (n 5) in
-  Alcotest.(check bool) "miss" true (Qcache.check q c = Qcache.Unknown);
-  Qcache.note_unsat q;
-  let q2 = Qcache.clone q in
-  Qcache.assert_base q2 (Expr.eq x (n 3));
-  Alcotest.(check bool) "clone knows the unsat slice" true
-    (Qcache.check q2 c = Qcache.Unsat_hit)
 
 let test_components_unit () =
   let ectx = Expr.create_ctx () in
@@ -363,19 +376,9 @@ let test_bit_identity () =
       Alcotest.(check bool) (p.name ^ ": cache did not add checks") true (c_on <= c_off))
     (Lazy.force off_on)
 
-let test_parallel_bit_identity () =
-  List.iter
-    (fun p ->
-      let pj n c = { c with Explore.path_jobs = n; split_tasks = 6 } in
-      let t1, _ = suite_of ~f:(pj 1) p in
-      let t4, _ = suite_of ~f:(pj 4) p in
-      Alcotest.(check (list string)) (p.name ^ ": cache on: pj1 = pj4") t1 t4)
-    identity_programs
-
 (* solver.checks per program with the cache on, as recorded when the
-   cache landed, at path_jobs 0 and (default split) path_jobs 1; a run
-   may exceed its figure by at most 2% *)
-let checks_pj0 =
+   cache landed; a run may exceed its figure by at most 2% *)
+let checks_bound =
   [
     ("fig1a", 6);
     ("fig1b", 7);
@@ -385,25 +388,15 @@ let checks_pj0 =
     ("register_seq2", 4);
   ]
 
-let checks_pj1 = [ ("fig1a", 9); ("fig1b", 9); ("register_seq2", 4) ]
-
 let test_check_bounds () =
   let within label bound checks =
     if float_of_int checks > float_of_int bound *. 1.02 then
       Alcotest.failf "%s: %d solver checks, bound %d (+2%%)" label checks bound
   in
   let runs =
-    List.filter (fun (p, _, _) -> List.mem_assoc p.name checks_pj0) (Lazy.force off_on)
+    List.filter (fun (p, _, _) -> List.mem_assoc p.name checks_bound) (Lazy.force off_on)
   in
-  List.iter (fun (p, _, (_, c)) -> within p.name (List.assoc p.name checks_pj0) c) runs;
-  List.iter
-    (fun p ->
-      match List.assoc_opt p.name checks_pj1 with
-      | Some bound ->
-          let _, c = suite_of ~f:(fun c -> { c with Explore.path_jobs = 1 }) p in
-          within (p.name ^ " at path_jobs 1") bound c
-      | None -> ())
-    programs;
+  List.iter (fun (p, _, (_, c)) -> within p.name (List.assoc p.name checks_bound) c) runs;
   let total f = List.fold_left (fun acc r -> acc + f r) 0 runs in
   let off = total (fun (_, (_, c), _) -> c) and on = total (fun (_, _, (_, c)) -> c) in
   let drop = 100.0 *. float_of_int (off - on) /. float_of_int off in
@@ -430,13 +423,10 @@ let () =
         [
           Alcotest.test_case "unsat replay + store" `Quick test_unsat_replay;
           Alcotest.test_case "model + subsumption" `Quick test_model_and_subsumption;
-          Alcotest.test_case "clone carries facts" `Quick test_clone_carries_facts;
         ] );
       ( "end_to_end",
         [
           Alcotest.test_case "bit-identical on/off" `Quick test_bit_identity;
-          Alcotest.test_case "bit-identical across path-jobs" `Quick
-            test_parallel_bit_identity;
           Alcotest.test_case "solver.checks within bounds" `Slow test_check_bounds;
         ] );
     ]

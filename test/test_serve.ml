@@ -155,30 +155,27 @@ let test_prepare_still_raises () =
 (* ------------------------------------------------------------------ *)
 (* Streaming emission *)
 
-let streaming_matches_final ~path_jobs src =
+(* the stream has the final order, no duplicates and no holes *)
+let streaming_matches_final (label, src) =
   let streamed = ref [] in
   let config =
     {
       Explore.default_config with
       Explore.on_test = Some (fun t -> streamed := t :: !streamed);
-      path_jobs;
     }
   in
   let run = Oracle.generate ~config v1model src in
   let final = List.map Testspec.to_string run.Oracle.result.Explore.tests in
   let seen = List.rev_map Testspec.to_string !streamed in
-  Alcotest.(check (list string))
-    (Printf.sprintf "streamed = final (path_jobs %d)" path_jobs)
-    final seen
+  Alcotest.(check (list string)) (label ^ ": streamed = final") final seen
 
 let test_on_test_streaming () =
-  streaming_matches_final ~path_jobs:0 Progzoo.Corpus.fig1a;
-  streaming_matches_final ~path_jobs:0 (Progzoo.Generators.up4 ());
-  (* the frontier driver streams from the deterministic merge prefix:
-     same order, no duplicates, no holes *)
-  streaming_matches_final ~path_jobs:2 (Progzoo.Generators.up4 ());
-  streaming_matches_final ~path_jobs:3
-    (Progzoo.Generators.middleblock ~acl_stages:2 ())
+  List.iter streaming_matches_final
+    [
+      ("fig1a", Progzoo.Corpus.fig1a);
+      ("up4", Progzoo.Generators.up4 ());
+      ("middleblock_2acl", Progzoo.Generators.middleblock ~acl_stages:2 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The daemon, end to end *)
@@ -439,6 +436,47 @@ let test_server_client_hangup () =
         (Obs.Snapshot.get_int (Serve.Server.snapshot server) "serve.send_errors"
         >= 1))
 
+(* one raw request frame, read to [End] *)
+let raw_rpc ep payload =
+  let fd = Serve.Client.connect ep in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Serve.Wire.write_frame fd payload;
+      let rec loop acc =
+        match Serve.Wire.read_frame fd with
+        | None -> List.rev acc
+        | Some p -> (
+            match Serve.Wire.decode_event p with
+            | Ok Serve.Wire.End -> List.rev (Serve.Wire.End :: acc)
+            | Ok ev -> loop (ev :: acc)
+            | Error m -> Alcotest.failf "bad response frame: %s" m)
+      in
+      loop [])
+
+let test_server_ignores_path_jobs () =
+  (* clients built when requests carried a [path-jobs] line still get
+     served: the key is unknown now, so it decodes to the same request
+     and the daemon answers with the same suite *)
+  let rq = gen_rq ~source:(Progzoo.Generators.up4 ()) () in
+  let plain = Serve.Wire.encode_request rq in
+  let magic_end = String.index plain '\n' + 1 in
+  let with_pj =
+    String.sub plain 0 magic_end ^ "path-jobs 3\n"
+    ^ String.sub plain magic_end (String.length plain - magic_end)
+  in
+  Alcotest.(check bool) "payload carries the line" true (contains with_pj "\npath-jobs 3\n");
+  (match Serve.Wire.decode_request with_pj with
+  | Ok rq' -> Alcotest.(check bool) "decodes to the same request" true (rq = rq')
+  | Error m -> Alcotest.failf "decode failed: %s" m);
+  with_server (fun ep ->
+      let base = rpc ep rq in
+      let evs = raw_rpc ep with_pj in
+      Alcotest.(check (option (pair string string))) "no error" None
+        (Serve.Client.find_error evs);
+      Alcotest.(check bool) "some tests" true (tests_of base <> []);
+      Alcotest.(check (list string)) "same suite" (tests_of base) (tests_of evs))
+
 let test_wire_roundtrip () =
   let rq =
     {
@@ -450,7 +488,6 @@ let test_wire_roundtrip () =
       rq_max_tests = Some 7;
       rq_max_paths = None;
       rq_seq_packets = 2;
-      rq_path_jobs = 3;
       rq_deadline_ms = Some 1500;
       rq_key = None;
       rq_source = Some "control C() { apply {} }\n// body with\n\nblank lines\n";
@@ -513,6 +550,8 @@ let () =
             test_server_uninstantiable_not_cached;
           Alcotest.test_case "concurrent bit-identical" `Quick
             test_server_concurrent_bit_identical;
+          Alcotest.test_case "path-jobs line ignored" `Quick
+            test_server_ignores_path_jobs;
           Alcotest.test_case "client hangup counted" `Quick
             test_server_client_hangup;
         ] );
