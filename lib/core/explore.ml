@@ -286,56 +286,63 @@ let dedup_reg_inits (ris : Testspec.register_init list) =
   in
   List.rev keep
 
-let build_test ctx solver (st : state) : Testspec.t option =
-  randomize_free_inputs ctx solver st;
+(* the test of a path under a resolved model: model reads, taint masks
+   and entry concretisation *)
+let test_of_model ctx (st : state) model : Testspec.t =
+  let taint_of e =
+    let m = Expr.taint_mask e in
+    if st.ctrl_taint then Bits.ones (Bits.width m) else m
+  in
+  (* one injection step per packet of the sequence: the archived
+     ones plus the packet still live in [st] *)
+  let inject (pd : pkt_record) =
+    let data =
+      List.fold_left
+        (fun acc c -> Expr.concat c acc)
+        (empty_bits ctx.ectx) pd.pd_chunks
+    in
+    let input = Testspec.packet ~port:(model pd.pd_in_port) (model data) in
+    let outputs =
+      if pd.pd_dropped then []
+      else
+        List.rev_map
+          (fun o ->
+            {
+              Testspec.port = model o.o_port;
+              data = model o.o_data;
+              dontcare = taint_of o.o_data;
+            })
+          pd.pd_outputs
+    in
+    Testspec.SInject { input; outputs }
+  in
+  let current =
+    {
+      pd_chunks = st.chunks;
+      pd_in_port = st.in_port;
+      pd_outputs = st.outputs;
+      pd_dropped = st.dropped;
+    }
+  in
+  let entries = List.rev_map (concretize_entry model) st.entries in
+  let registers = dedup_reg_inits st.reg_inits in
+  let covered = IntSet.elements st.covered in
+  let comment = String.concat " > " (List.rev st.trace) in
+  (* [current :: seq_done] is newest first; rev_map restores
+     injection order *)
+  match List.rev_map inject (current :: st.seq_done) with
+  | [ Testspec.SInject { input; outputs } ] ->
+      Testspec.make ~input ~outputs ~entries ~registers ~covered ~comment
+  | steps -> Testspec.make_seq ~steps ~entries ~registers ~covered ~comment
+
+(* [t_randomize] and [t_readout] time the emission phases around the
+   concolic resolve, which [concolic.time] already times *)
+let build_test ctx ~t_randomize ~t_readout solver (st : state) : Testspec.t option =
+  Obs.Timer.time t_randomize (fun () -> randomize_free_inputs ctx solver st);
   match Concolic.resolve solver st with
   | Concolic.Infeasible -> None
   | Concolic.Resolved model ->
-      let taint_of e =
-        let m = Expr.taint_mask e in
-        if st.ctrl_taint then Bits.ones (Bits.width m) else m
-      in
-      (* one injection step per packet of the sequence: the archived
-         ones plus the packet still live in [st] *)
-      let inject (pd : pkt_record) =
-        let data =
-          List.fold_left
-            (fun acc c -> Expr.concat c acc)
-            (empty_bits ctx.ectx) pd.pd_chunks
-        in
-        let input = Testspec.packet ~port:(model pd.pd_in_port) (model data) in
-        let outputs =
-          if pd.pd_dropped then []
-          else
-            List.rev_map
-              (fun o ->
-                {
-                  Testspec.port = model o.o_port;
-                  data = model o.o_data;
-                  dontcare = taint_of o.o_data;
-                })
-              pd.pd_outputs
-        in
-        Testspec.SInject { input; outputs }
-      in
-      let current =
-        {
-          pd_chunks = st.chunks;
-          pd_in_port = st.in_port;
-          pd_outputs = st.outputs;
-          pd_dropped = st.dropped;
-        }
-      in
-      let entries = List.rev_map (concretize_entry model) st.entries in
-      let registers = dedup_reg_inits st.reg_inits in
-      let covered = IntSet.elements st.covered in
-      let comment = String.concat " > " (List.rev st.trace) in
-      (* [current :: seq_done] is newest first; rev_map restores
-         injection order *)
-      (match List.rev_map inject (current :: st.seq_done) with
-      | [ Testspec.SInject { input; outputs } ] ->
-          Some (Testspec.make ~input ~outputs ~entries ~registers ~covered ~comment)
-      | steps -> Some (Testspec.make_seq ~steps ~entries ~registers ~covered ~comment))
+      Some (Obs.Timer.time t_readout (fun () -> test_of_model ctx st model))
 
 (* a test is flaky if any packet's fate or destination is tainted *)
 let port_tainted st =
@@ -374,6 +381,8 @@ type cells = {
   c_rebuilds : Obs.Counter.t;
   tm_step : Obs.Timer.t;
   tm_emit : Obs.Timer.t;
+  tm_randomize : Obs.Timer.t;
+  tm_readout : Obs.Timer.t;
   tm_emit_solve : Obs.Timer.t;
   tm_branch : Obs.Timer.t;
   tm_rebuild : Obs.Timer.t;
@@ -396,6 +405,8 @@ let make_cells reg =
     c_rebuilds = Obs.Registry.counter reg "solver.rebuilds";
     tm_step = Obs.Registry.timer reg "explore.t_step";
     tm_emit = Obs.Registry.timer reg "explore.t_emit";
+    tm_randomize = Obs.Registry.timer reg "explore.t_randomize";
+    tm_readout = Obs.Registry.timer reg "explore.t_readout";
     tm_emit_solve = Obs.Registry.timer reg "explore.t_emit_solve";
     tm_branch = Obs.Registry.timer reg "explore.t_branch";
     tm_rebuild = Obs.Registry.timer reg "explore.t_rebuild";
@@ -416,9 +427,12 @@ type engine = {
          particular independent of the query cache — which is what
          keeps emitted tests bit-identical with the cache on or off. *)
   e_probe : Solver.t ref;
-      (* the *probe* solver: carries the full candidate path
-         (including the condition under test) and answers the branch
-         feasibility checks the query cache cannot *)
+      (* the *probe* solver: answers the branch feasibility checks the
+         query cache cannot.  It holds the outermost [e_probe_depth]
+         conditions of the spine and is synced to the whole spine only
+         when it checks, so a branch the cache answers never touches
+         it *)
+  mutable e_probe_depth : int;
   e_solver_live : int ref;
   e_probe_live : int ref;
       (* each solver's size right after its last rebuild (0 before the
@@ -427,9 +441,12 @@ type engine = {
       (* branch-feasibility query cache; [None] when
          [config.query_cache] is off *)
   e_spine : Expr.t list ref;
-      (* the DFS spine's active assertions, innermost first, mirroring
-         the solver's scope stack; lets us rebuild a fresh solver when
-         the old one has accumulated too many dead variables *)
+      (* the DFS spine's active assertions, innermost first: the
+         emission solver's scope stack plus, during a branch's verdict,
+         the candidate condition.  Lets us sync the probe and rebuild a
+         fresh solver when the old one has accumulated too many dead
+         variables *)
+  mutable e_depth : int;  (* length of [e_spine] *)
   mutable e_tests : Testspec.t list;  (* newest first *)
   mutable e_covered : IntSet.t;
   mutable e_emitted : int;
@@ -451,27 +468,43 @@ let make_engine (ctx : ctx) (cfg : config) =
     e_cells = cells;
     e_solver = ref (new_solver ctx);
     e_probe = ref (new_solver ctx);
+    e_probe_depth = 0;
     e_solver_live = ref 0;
     e_probe_live = ref 0;
     e_qc;
     e_spine = ref [];
+    e_depth = 0;
     e_tests = [];
     e_covered = IntSet.empty;
     e_emitted = 0;
     e_paths0 = Obs.Counter.value cells.c_paths;
   }
 
+(* the spine conditions at depths [lo, hi), outermost first; depth 0
+   is the outermost *)
+let spine_slice eng lo hi =
+  let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+  let rec take k l acc = if k = 0 then acc else take (k - 1) (List.tl l) (List.hd l :: acc) in
+  take (hi - lo) (drop (eng.e_depth - hi) !(eng.e_spine)) []
+
+(* one scope per condition, outermost first *)
+let push_conds s conds =
+  List.iter
+    (fun c ->
+      Solver.push s;
+      Solver.assert_ s c)
+    conds
+
 (* A solver is rebuilt once it has outgrown both
    [rebuild_size_threshold] and twice its live size after its last
    rebuild: past that point the dead variables of popped scopes
    outnumber the live ones, whatever the spine's depth.  The factor 2
    keeps a solver whose live part alone passes the threshold (a deep
-   spine) from rebuilding on every pop.  Both solvers' scope stacks
-   mirror the spine whenever this runs, but each rebuilds on its own
-   size: the probe blasts every candidate branch and outgrows the
-   emission solver. *)
+   spine) from rebuilding on every pop.  Each solver rebuilds on its own
+   size, from what it holds when this runs: the emission solver from the
+   whole spine, the probe from its prefix of it. *)
 let maybe_rebuild eng =
-  let rebuild_one sref live =
+  let rebuild_one sref live depth =
     let size = Solver.size !sref in
     if size > eng.e_cfg.rebuild_size_threshold && size > 2 * !live then begin
       (* retire the old solver: push its residual counter activity
@@ -479,17 +512,13 @@ let maybe_rebuild eng =
       Solver.flush_stats !sref;
       Obs.Counter.incr eng.e_cells.c_rebuilds;
       let s = new_solver eng.e_ctx in
-      List.iter
-        (fun c ->
-          Solver.push s;
-          Solver.assert_ s c)
-        (List.rev !(eng.e_spine));
+      push_conds s (spine_slice eng 0 depth);
       sref := s;
       live := Solver.size s
     end
   in
-  rebuild_one eng.e_solver eng.e_solver_live;
-  rebuild_one eng.e_probe eng.e_probe_live
+  rebuild_one eng.e_solver eng.e_solver_live eng.e_depth;
+  rebuild_one eng.e_probe eng.e_probe_live eng.e_probe_depth
 
 let check_budget eng =
   (match eng.e_cfg.max_tests with
@@ -529,7 +558,10 @@ let finish eng st =
        else if cov && IntSet.subset st.covered eng.e_covered then
          Obs.Counter.incr eng.e_cells.c_disc_cov
        else
-         match build_test eng.e_ctx !(eng.e_solver) st with
+         match
+           build_test eng.e_ctx ~t_randomize:eng.e_cells.tm_randomize
+             ~t_readout:eng.e_cells.tm_readout !(eng.e_solver) st
+         with
          | exception Smt.Sat.Budget_exhausted ->
              Obs.Counter.incr eng.e_cells.c_disc_budget
          | None -> Obs.Counter.incr eng.e_cells.c_disc_concolic
@@ -553,10 +585,28 @@ let finish eng st =
   if !full then raise Stop;
   check_budget eng
 
-(* a branch-feasibility check on the probe: [None] when the SAT core's
-   conflict budget cut it.  A cut branch is not entered, and its
+(* the spine grows by the candidate [c] of a branch's verdict and of
+   the subtree below it, and shrinks back when the branch is done; a
+   probe deeper than the spine is trimmed to it *)
+let push_spine eng c =
+  eng.e_spine := c :: !(eng.e_spine);
+  eng.e_depth <- eng.e_depth + 1
+
+let pop_spine eng =
+  eng.e_spine := List.tl !(eng.e_spine);
+  eng.e_depth <- eng.e_depth - 1;
+  while eng.e_probe_depth > eng.e_depth do
+    Solver.pop !(eng.e_probe);
+    eng.e_probe_depth <- eng.e_probe_depth - 1
+  done
+
+(* a branch-feasibility check on the probe, after pushing the spine
+   conditions it lacks (the candidate among them): [None] when the SAT
+   core's conflict budget cut it.  A cut branch is not entered, and its
    verdict is unknown, not infeasible: nothing is cached for it. *)
 let probe_check eng =
+  push_conds !(eng.e_probe) (spine_slice eng eng.e_probe_depth eng.e_depth);
+  eng.e_probe_depth <- eng.e_depth;
   Obs.Counter.incr eng.e_cells.c_branch_checks;
   match Solver.check !(eng.e_probe) with
   | r -> Some (r = Solver.Sat)
@@ -614,12 +664,11 @@ let rec dfs eng st =
                  pushes and pops on both solvers, never the subtree *)
               let tm = eng.e_cells.tm_branch in
               let t0 = Obs.Clock.now () in
-              (* the probe carries the full candidate path (the query
-                 cache consults slices of the path *without* [c], so it
-                 runs before the cache's own push) *)
-              Solver.push !(eng.e_probe);
-              Solver.assert_ !(eng.e_probe) c;
-              eng.e_spine := c :: !(eng.e_spine);
+              (* the candidate joins the spine, which a probe check
+                 syncs the probe to (the query cache consults slices of
+                 the path *without* [c], so it runs before the cache's
+                 own push) *)
+              push_spine eng c;
               let feasible =
                 match eng.e_qc with
                 | Some q -> (
@@ -672,15 +721,12 @@ let rec dfs eng st =
                      Obs.Counter.incr eng.e_cells.c_infeasible
                  end
                with e ->
-                 (* keep spine and scope stack consistent on any exit
-                    (Stop, an [on_test] exception): pop both, not just
-                    the solver scope *)
-                 Solver.pop !(eng.e_probe);
-                 eng.e_spine := List.tl !(eng.e_spine);
+                 (* keep the spine and the probe consistent on any exit
+                    (Stop, an [on_test] exception) *)
+                 pop_spine eng;
                  raise e);
               let t1 = Obs.Clock.now () in
-              Solver.pop !(eng.e_probe);
-              eng.e_spine := List.tl !(eng.e_spine);
+              pop_spine eng;
               let t2 = Obs.Clock.now () in
               Obs.Timer.add tm (t2 -. t1);
               maybe_rebuild eng;

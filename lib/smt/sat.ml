@@ -17,11 +17,30 @@
      the full assignment of the last satisfying model is replayed as
      the preferred phase of later solves (target phases).
    - One solve gives up after [conflict_budget] conflicts, so a hard
-     query costs a bounded amount of work. *)
+     query costs a bounded amount of work.
+
+   Memory layout (most variables are blasted but never constrained, and
+   every propagation stores a reason, so allocation is kept off the hot
+   paths):
+   - Every per-variable array has the same capacity and grows in one
+     step, so allocating a variable is a bounds check and an increment;
+     slots past [nvars] keep their initial values until used.
+   - A literal gets its own watch list on its first watch.  Until then
+     its slot holds the solver's empty sentinel, which is never written
+     (a per-solver sentinel, since solvers run on several domains).
+   - A reason is a clause, or [no_reason] for decisions, assumptions and
+     level-0 units.  It is read only while its variable is assigned, so
+     backtracking leaves stale reasons in place.
+   - A model is copied into the target phases with one blit, and
+     snapshots hold one byte per variable. *)
 
 (* a clause is its literal array; [propagate] reorders it in place so
    that the watched literals come first *)
 type clause = int array
+
+(* the reason of a decision, an assumption or a level-0 unit; every
+   real reason has at least one literal *)
+let no_reason : clause = [||]
 
 (* Growable array *)
 module Vec = struct
@@ -53,12 +72,16 @@ end
 module Wl = struct
   type t = { mutable cls : clause array; mutable lit : int array; mutable len : int }
 
-  let create () = { cls = [||]; lit = [||]; len = 0 }
+  (* the empty sentinel; [push] must never be applied to it *)
+  let empty () = { cls = [||]; lit = [||]; len = 0 }
+
+  (* a fresh list holding one watcher *)
+  let singleton c l = { cls = Array.make 4 c; lit = Array.make 4 l; len = 1 }
 
   let push w c l =
     if w.len = Array.length w.cls then begin
-      let n = if w.len = 0 then 4 else 2 * w.len in
-      let cls = Array.make n [||] and lit = Array.make n 0 in
+      let n = 2 * w.len in
+      let cls = Array.make n no_reason and lit = Array.make n 0 in
       Array.blit w.cls 0 cls 0 w.len;
       Array.blit w.lit 0 lit 0 w.len;
       w.cls <- cls;
@@ -71,14 +94,17 @@ end
 
 type t = {
   mutable nvars : int;
+  mutable cap : int; (* length of every per-variable array *)
   mutable ok : bool;
-  (* per-literal watch lists: long clauses and a binary layer *)
+  (* per-literal watch lists (2 * cap slots): long clauses and a binary
+     layer; a literal never watched holds [empty] *)
   mutable watches : Wl.t array;
   mutable bin_watches : Wl.t array;
+  empty : Wl.t;
   (* per-variable state *)
   mutable assign : int array; (* 0/1/2 *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array; (* [no_reason] when none *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase *)
   mutable target : int array; (* phase of the last model: 0 none / 1 / 2 *)
@@ -105,6 +131,7 @@ type t = {
   mutable minimised_literals : int;
   (* scratch *)
   mutable seen : bool array;
+  mutable buf : int array; (* [add_clause]'s sorted literals *)
 }
 
 type counters = {
@@ -117,25 +144,31 @@ type counters = {
   c_minimised_literals : int;
 }
 
+let initial_cap = 64
+
 let create () =
+  let empty = Wl.empty () in
+  let cap = initial_cap in
   {
     nvars = 0;
+    cap;
     ok = true;
-    watches = Array.init 2 (fun _ -> Wl.create ());
-    bin_watches = Array.init 2 (fun _ -> Wl.create ());
-    assign = Array.make 1 0;
-    level = Array.make 1 0;
-    reason = Array.make 1 None;
-    activity = Array.make 1 0.0;
-    polarity = Array.make 1 false;
-    target = Array.make 1 0;
-    heap_pos = Array.make 1 (-1);
+    watches = Array.make (2 * cap) empty;
+    bin_watches = Array.make (2 * cap) empty;
+    empty;
+    assign = Array.make cap 0;
+    level = Array.make cap 0;
+    reason = Array.make cap no_reason;
+    activity = Array.make cap 0.0;
+    polarity = Array.make cap false;
+    target = Array.make cap 0;
+    heap_pos = Array.make cap (-1);
     heap = Vec.create 0;
     var_inc = 1.0;
     trail = Vec.create 0;
     trail_lim = Vec.create 0;
     qhead = 0;
-    constrained = Array.make 1 false;
+    constrained = Array.make cap false;
     decisions = 0;
     propagations = 0;
     conflicts = 0;
@@ -143,7 +176,8 @@ let create () =
     learnt_clauses = 0;
     learnt_literals = 0;
     minimised_literals = 0;
-    seen = Array.make 1 false;
+    seen = Array.make cap false;
+    buf = Array.make 8 0;
   }
 
 let pos v = 2 * v
@@ -170,14 +204,11 @@ let lit_val s l =
   let a = Array.unsafe_get s.assign (l lsr 1) in
   if a = 0 then 0 else if l land 1 = 1 then 3 - a else a
 
-let grow_array a n dummy =
-  let len = Array.length a in
-  if n <= len then a
-  else begin
-    let d = Array.make (max n (2 * len)) dummy in
-    Array.blit a 0 d 0 len;
-    d
-  end
+(* [a] extended to [n] slots, the new ones holding [dummy] *)
+let extend a n dummy =
+  let d = Array.make n dummy in
+  Array.blit a 0 d 0 (Array.length a);
+  d
 
 (* -------------------- VSIDS heap (max-heap on activity) ------------ *)
 
@@ -232,37 +263,28 @@ let heap_decrease s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 
 (* -------------------- variable management -------------------------- *)
 
+(* doubles the capacity of every per-variable and per-literal array;
+   the new slots hold the values a fresh variable starts with *)
+let grow s =
+  let n = 2 * s.cap in
+  s.assign <- extend s.assign n 0;
+  s.level <- extend s.level n 0;
+  s.reason <- extend s.reason n no_reason;
+  s.activity <- extend s.activity n 0.0;
+  s.polarity <- extend s.polarity n false;
+  s.target <- extend s.target n 0;
+  s.heap_pos <- extend s.heap_pos n (-1);
+  s.seen <- extend s.seen n false;
+  s.constrained <- extend s.constrained n false;
+  s.watches <- extend s.watches (2 * n) s.empty;
+  s.bin_watches <- extend s.bin_watches (2 * n) s.empty;
+  s.cap <- n
+
+(* not inserted into the decision heap until it appears in a clause *)
 let new_var s =
   let v = s.nvars in
+  if v = s.cap then grow s;
   s.nvars <- v + 1;
-  s.assign <- grow_array s.assign (v + 1) 0;
-  s.level <- grow_array s.level (v + 1) 0;
-  s.reason <- grow_array s.reason (v + 1) None;
-  s.activity <- grow_array s.activity (v + 1) 0.0;
-  s.polarity <- grow_array s.polarity (v + 1) false;
-  s.target <- grow_array s.target (v + 1) 0;
-  s.heap_pos <- grow_array s.heap_pos (v + 1) (-1);
-  s.seen <- grow_array s.seen (v + 1) false;
-  s.constrained <- grow_array s.constrained (v + 1) false;
-  let nlits = 2 * (v + 1) in
-  if Array.length s.watches < nlits then begin
-    let grow w =
-      Array.init (max nlits (2 * Array.length w)) (fun i ->
-          if i < Array.length w then w.(i) else Wl.create ())
-    in
-    s.watches <- grow s.watches;
-    s.bin_watches <- grow s.bin_watches
-  end;
-  s.assign.(v) <- 0;
-  s.level.(v) <- 0;
-  s.reason.(v) <- None;
-  s.activity.(v) <- 0.0;
-  s.polarity.(v) <- false;
-  s.target.(v) <- 0;
-  s.heap_pos.(v) <- -1;
-  s.seen.(v) <- false;
-  s.constrained.(v) <- false;
-  (* not inserted into the decision heap until it appears in a clause *)
   v
 
 let var_bump s v =
@@ -302,7 +324,6 @@ let cancel_until s lvl =
       let v = var_of l in
       s.assign.(v) <- 0;
       s.polarity.(v) <- not (sign l);
-      s.reason.(v) <- None;
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -312,14 +333,20 @@ let cancel_until s lvl =
 
 (* -------------------- clauses -------------------------------------- *)
 
-let watch s l c blocker = Wl.push s.watches.(l) c blocker
+(* appends a watcher to literal [l]'s list in [table], giving [l] a
+   list of its own on its first watch *)
+let watch_in s table l c companion =
+  let w = Array.unsafe_get table l in
+  if w == s.empty then table.(l) <- Wl.singleton c companion else Wl.push w c companion
+
+let watch s l c blocker = watch_in s s.watches l c blocker
 
 let attach s c =
   (* watch the negations of the first two literals; binary clauses go
      to the dedicated layer that stores the implied literal inline *)
   if Array.length c = 2 then begin
-    Wl.push s.bin_watches.(negate c.(0)) c c.(1);
-    Wl.push s.bin_watches.(negate c.(1)) c c.(0)
+    watch_in s s.bin_watches (negate c.(0)) c c.(1);
+    watch_in s s.bin_watches (negate c.(1)) c c.(0)
   end
   else begin
     watch s (negate c.(0)) c c.(1);
@@ -353,7 +380,7 @@ let propagate s =
             c.(0) <- o;
             c.(1) <- negate p
           end;
-          enqueue s o (Some c)
+          enqueue s o c
         end
       done;
       (* long clauses *)
@@ -418,35 +445,70 @@ let propagate s =
                 s.qhead <- Vec.len s.trail;
                 raise (Conflict c)
               end
-              else enqueue s first (Some c)
+              else enqueue s first c
             end
           end
         end
       done;
-      ws.Wl.len <- !j
+      (* a list that kept every watcher is left alone: it may be the
+         empty sentinel, which is never written *)
+      if !j < n then ws.Wl.len <- !j
     done;
     None
   with Conflict c -> Some c
 
+(* inserts [lits] into the sorted prefix [buf.(0 .. i - 1)] *)
+let rec insertion_sort buf i = function
+  | [] -> ()
+  | l :: rest ->
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get buf !j > l do
+        Array.unsafe_set buf (!j + 1) (Array.unsafe_get buf !j);
+        decr j
+      done;
+      Array.unsafe_set buf (!j + 1) l;
+      insertion_sort buf (i + 1) rest
+
+(* Normalises on ints: the literals are insertion-sorted into [buf]
+   (clauses are short), duplicates are skipped, and the clause is
+   dropped if it holds a complementary pair (adjacent once sorted, as
+   [2v] and [2v + 1]) or a literal true at level 0; literals false at
+   level 0 are filtered out.  The survivors, ascending, are exactly what
+   sorting, deduplicating and filtering the list gives. *)
 let add_clause s lits =
   if s.ok then begin
-    (* simplify: remove duplicates and false lits (level 0), drop if tautology or satisfied *)
     assert (decision_level s = 0);
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (negate l) lits) lits
-      || List.exists (fun l -> lit_val s l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_val s l <> 2) lits in
-      List.iter (fun l -> mark_constrained s (var_of l)) lits;
-      match lits with
-      | [] -> s.ok <- false
-      | [ l ] ->
-          enqueue s l None;
+    let n = List.length lits in
+    if Array.length s.buf < n then s.buf <- Array.make (2 * n) 0;
+    let buf = s.buf in
+    insertion_sort buf 0 lits;
+    (* survivors are compacted to the front of [buf] *)
+    let k = ref 0 and drop = ref false and i = ref 0 in
+    while (not !drop) && !i < n do
+      let l = Array.unsafe_get buf !i in
+      if !i > 0 && l = Array.unsafe_get buf (!i - 1) then ()
+      else if !i > 0 && l = Array.unsafe_get buf (!i - 1) lxor 1 && l land 1 = 1 then
+        drop := true
+      else begin
+        match lit_val s l with
+        | 1 -> drop := true
+        | 2 -> ()
+        | _ ->
+            Array.unsafe_set buf !k l;
+            incr k
+      end;
+      incr i
+    done;
+    if not !drop then begin
+      for i = 0 to !k - 1 do
+        mark_constrained s (var_of (Array.unsafe_get buf i))
+      done;
+      match !k with
+      | 0 -> s.ok <- false
+      | 1 ->
+          enqueue s buf.(0) no_reason;
           if propagate s <> None then s.ok <- false
-      | _ ->
-          attach s (Array.of_list lits)
+      | k -> attach s (Array.sub buf 0 k)
     end
   end
 
@@ -464,34 +526,35 @@ let lit_redundant s abstract_levels to_clear l =
   let rec go stack =
     match stack with
     | [] -> true
-    | q :: rest -> (
-        match s.reason.(var_of q) with
-        | None -> false
-        | Some c ->
-            let ok = ref true in
-            let stack = ref rest in
-            let len = Array.length c in
-            let k = ref 1 in
-            while !ok && !k < len do
-              let l' = c.(!k) in
-              let v = var_of l' in
-              if (not s.seen.(v)) && s.level.(v) > 0 then begin
-                if s.reason.(v) <> None && abstract_level s v land abstract_levels <> 0
-                then begin
-                  s.seen.(v) <- true;
-                  marked_here := v :: !marked_here;
-                  to_clear := v :: !to_clear;
-                  stack := l' :: !stack
-                end
-                else ok := false
-              end;
-              incr k
-            done;
-            if !ok then go !stack
-            else begin
-              List.iter (fun v -> s.seen.(v) <- false) !marked_here;
-              false
-            end)
+    | q :: rest ->
+        let c = s.reason.(var_of q) in
+        if c == no_reason then false
+        else begin
+          let ok = ref true in
+          let stack = ref rest in
+          let len = Array.length c in
+          let k = ref 1 in
+          while !ok && !k < len do
+            let l' = c.(!k) in
+            let v = var_of l' in
+            if (not s.seen.(v)) && s.level.(v) > 0 then begin
+              if s.reason.(v) != no_reason && abstract_level s v land abstract_levels <> 0
+              then begin
+                s.seen.(v) <- true;
+                marked_here := v :: !marked_here;
+                to_clear := v :: !to_clear;
+                stack := l' :: !stack
+              end
+              else ok := false
+            end;
+            incr k
+          done;
+          if !ok then go !stack
+          else begin
+            List.iter (fun v -> s.seen.(v) <- false) !marked_here;
+            false
+          end
+        end
   in
   go [ l ]
 
@@ -505,9 +568,7 @@ let minimise s tail =
   let tail' =
     List.filter
       (fun l ->
-        match s.reason.(var_of l) with
-        | None -> true
-        | Some _ -> not (lit_redundant s abstract_levels to_clear l))
+        s.reason.(var_of l) == no_reason || not (lit_redundant s abstract_levels to_clear l))
       tail
   in
   List.iter (fun v -> s.seen.(v) <- false) !to_clear;
@@ -519,23 +580,22 @@ let analyze s confl =
   let path_count = ref 0 in
   let p = ref (-1) in
   let index = ref (Vec.len s.trail - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let continue = ref true in
   while !continue do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-        let start = if !p = -1 then 0 else 1 in
-        for k = start to Array.length c - 1 do
-          let q = c.(k) in
-          let v = var_of q in
-          if (not s.seen.(v)) && s.level.(v) > 0 then begin
-            s.seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= decision_level s then incr path_count
-            else learnt := q :: !learnt
-          end
-        done);
+    let c = !confl in
+    assert (c != no_reason);
+    let start = if !p = -1 then 0 else 1 in
+    for k = start to Array.length c - 1 do
+      let q = c.(k) in
+      let v = var_of q in
+      if (not s.seen.(v)) && s.level.(v) > 0 then begin
+        s.seen.(v) <- true;
+        var_bump s v;
+        if s.level.(v) >= decision_level s then incr path_count
+        else learnt := q :: !learnt
+      end
+    done;
     (* pick next literal to expand from the trail *)
     let rec next_seen i = if s.seen.(var_of (Vec.get s.trail i)) then i else next_seen (i - 1) in
     index := next_seen !index;
@@ -587,11 +647,11 @@ let record_learnt s lits =
       (* Unit learnt clause.  Give it a self-reason so that conflict
          analysis never expands a reasonless literal mid-level (the
          1-literal reason contributes nothing and terminates cleanly). *)
-      enqueue s l (Some [| l |])
+      enqueue s l [| l |]
   | _ ->
       let c = Array.of_list lits in
       attach s c;
-      enqueue s c.(0) (Some c)
+      enqueue s c.(0) c
 
 (* -------------------- search --------------------------------------- *)
 
@@ -662,7 +722,7 @@ let solve ?(assumptions = []) s =
               | 2 -> raise Unsat
               | _ ->
                   Vec.push s.trail_lim (Vec.len s.trail);
-                  enqueue s a None;
+                  enqueue s a no_reason;
                   search ()
             end
             else begin
@@ -675,7 +735,7 @@ let solve ?(assumptions = []) s =
                     let t = s.target.(v) in
                     if t <> 0 then t = 1 else s.polarity.(v)
                   in
-                  enqueue s (if ph then pos v else neg v) None;
+                  enqueue s (if ph then pos v else neg v) no_reason;
                   search ()
             end
       in
@@ -683,9 +743,7 @@ let solve ?(assumptions = []) s =
     with
     | Sat_found ->
         (* remember the model as the preferred phases of later solves *)
-        for v = 0 to s.nvars - 1 do
-          s.target.(v) <- s.assign.(v)
-        done;
+        Array.blit s.assign 0 s.target 0 s.nvars;
         true
     | Unsat ->
         cancel_until s 0;
@@ -701,7 +759,12 @@ let set_polarity s v b =
 
 let backtrack s = cancel_until s 0
 
-let snapshot s = Array.sub s.assign 0 s.nvars
+let snapshot s =
+  let b = Bytes.create s.nvars in
+  for v = 0 to s.nvars - 1 do
+    Bytes.unsafe_set b v (Char.unsafe_chr (Array.unsafe_get s.assign v))
+  done;
+  b
 
 let value s v = s.assign.(v) = 1
 

@@ -60,9 +60,10 @@ val backtrack : t -> unit
     {!add_clause} if a {!solve} has run since the last clause was
     added.  Invalidate any model read so far. *)
 
-val snapshot : t -> int array
-(** Copy of the current assignment array (0 unassigned / 1 true /
-    2 false per variable), valid until mutated by the caller. *)
+val snapshot : t -> Bytes.t
+(** Copy of the current assignment, one byte per variable: code 0
+    unassigned, 1 true, 2 false.  The solver keeps no reference to
+    it. *)
 
 val value : t -> int -> bool
 (** [value s v]: variable [v]'s value in the model of the last

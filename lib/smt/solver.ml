@@ -35,11 +35,11 @@ type t = {
   mutable scopes : int list; (* activation literals, innermost first *)
   (* snapshot of the SAT assignment after the last Sat answer; models
      are read from here so they survive backtracking, and branch
-     conditions already true under it skip the solver entirely.  Each
-     Sat answer replaces the array with a fresh one and nothing ever
-     writes into it, so captured models share it instead of copying
-     it. *)
-  mutable model_snap : int array;
+     conditions already true under it skip the solver entirely.  One
+     byte per SAT variable ({!Sat.snapshot}).  Each Sat answer replaces
+     it with a fresh one and nothing ever writes into it, so captured
+     models share it instead of copying it. *)
+  mutable model_snap : Bytes.t;
   (* per-variable suggested values for free inputs; consulted when the
      SAT core left the bit unassigned (unconstrained vars are no longer
      decided at all) *)
@@ -81,7 +81,7 @@ let create ?obs ectx =
     blast;
     metrics = make_metrics obs ectx sat;
     scopes = [];
-    model_snap = [||];
+    model_snap = Bytes.empty;
     suggestions = Hashtbl.create 256;
   }
 
@@ -188,7 +188,7 @@ let suggest s e (b : Bits.t) =
 (* literal value under a snapshot: 1 true, 2 false, 0 unassigned *)
 let snap_raw snap l =
   let v = l lsr 1 in
-  let a = if v < Array.length snap then snap.(v) else 0 in
+  let a = if v < Bytes.length snap then Char.code (Bytes.unsafe_get snap v) else 0 in
   if a = 0 then 0 else if l land 1 = 0 then a else 3 - a
 
 (* a value is read in one pass over its literals, so a w-bit readout
@@ -226,14 +226,14 @@ let size s = Sat.nvars s.sat
    (extended with zeros for new variables).  Used by the explorer to
    skip solver calls for branches the current model already takes. *)
 let holds s e =
-  Array.length s.model_snap > 0 && Bits.is_ones (model_eval s e)
+  Bytes.length s.model_snap > 0 && Bits.is_ones (model_eval s e)
 
 (* ------------------------------------------------------------------ *)
 (* Captured models.
 
    A [model] freezes the last satisfying assignment: the snapshot
-   array (shared with the solver, which replaces rather than mutates
-   it) plus the blast that maps terms to SAT literals at capture
+   bytes (shared with the solver, which replaces rather than mutates
+   them) plus the blast that maps terms to SAT literals at capture
    time.  Bits the snapshot leaves unassigned — and any
    variable blasted only after the capture (its literals index past
    the frozen snapshot) — read as zero, which is a sound extension:
@@ -242,10 +242,10 @@ let holds s e =
    only performs read-only blast lookups ([var_bits]/[taint_bits]),
    never blasting, so a captured model never changes its solver. *)
 
-type model = { m_snap : int array; m_blast : Blast.t }
+type model = { m_snap : Bytes.t; m_blast : Blast.t }
 
 let capture_model s =
-  if Array.length s.model_snap = 0 then None
+  if Bytes.length s.model_snap = 0 then None
   else Some { m_snap = s.model_snap; m_blast = s.blast }
 
 let frozen_eval m e =
@@ -262,6 +262,7 @@ let frozen_eval m e =
 
 let model_holds m e = Bits.is_ones (frozen_eval m e)
 
-(* snapshot words plus a fixed overhead for the record/blast pointer;
-   used only for the qcache.bytes gauge, precision is not needed *)
-let model_bytes m = (Array.length m.m_snap * 8) + 64
+(* one snapshot byte per SAT variable plus a fixed overhead for the
+   record/blast pointer; used only for the qcache.bytes gauge,
+   precision is not needed *)
+let model_bytes m = Bytes.length m.m_snap + 64

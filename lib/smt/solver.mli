@@ -98,8 +98,9 @@ type model
 
 val capture_model : t -> model option
 (** The last [Sat] assignment, or [None] if no check has succeeded.
-    Costs no copy: the model shares the solver's snapshot, which the
-    next [Sat] answer replaces rather than overwrites. *)
+    Costs no copy: the model shares the solver's snapshot (one byte
+    per SAT variable, taken once per [Sat] answer), which the next
+    [Sat] answer replaces rather than overwrites. *)
 
 val frozen_eval : model -> Expr.t -> Bitv.Bits.t
 (** Evaluates any term under the frozen assignment (unassigned and
@@ -111,4 +112,5 @@ val model_holds : model -> Expr.t -> bool
     the frozen assignment.  Time-stable: repeated calls always agree. *)
 
 val model_bytes : model -> int
-(** Approximate heap footprint, for cache accounting. *)
+(** Approximate heap footprint, for cache accounting: one byte per SAT
+    variable of the shared snapshot plus a fixed 64 for the record. *)

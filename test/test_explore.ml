@@ -283,6 +283,39 @@ let test_rebuild_no_thrash () =
     (Testgen.Runtime.IntSet.equal normal.Oracle.result.Explore.covered
        forced.Oracle.result.Explore.covered)
 
+(* Without the query cache every branch is decided by the probe (or
+   its last model), and a threshold of 1 rebuilds it from its prefix of
+   the spine at nearly every level: the probe is synced before each
+   check and trimmed on each pop.  Its verdicts must still give the
+   default run's tree. *)
+let test_probe_prefix () =
+  let normal = Lazy.force mb8_default in
+  let probed =
+    mb8_cap400
+      ~config:
+        {
+          Explore.default_config with
+          Explore.query_cache = false;
+          rebuild_size_threshold = 1;
+        }
+      ()
+  in
+  let shape run =
+    List.map
+      (fun (t : Testspec.t) -> (t.comment, t.covered))
+      run.Oracle.result.Explore.tests
+  in
+  let stat run = run.Oracle.result.Explore.stats in
+  Alcotest.(check int) "same test count"
+    (List.length normal.Oracle.result.Explore.tests)
+    (List.length probed.Oracle.result.Explore.tests);
+  Alcotest.(check bool) "same comments and per-test coverage" true
+    (shape normal = shape probed);
+  Alcotest.(check int) "same infeasible branches" (stat normal).Explore.infeasible
+    (stat probed).Explore.infeasible;
+  Alcotest.(check int) "no path lost to concolic" 0 (stat probed).Explore.discarded_concolic;
+  Alcotest.(check bool) "the probe was rebuilt" true (rebuilds probed > rebuilds normal)
+
 (* ------------------------------------------------------------------ *)
 (* The driver: direct calls, deadlines, callback exceptions *)
 
@@ -336,7 +369,15 @@ let test_ledger_partition () =
   Alcotest.(check bool)
     (Printf.sprintf "named timers %.3fs of %.3fs" named total)
     true
-    (named >= 0.95 *. total)
+    (named >= 0.95 *. total);
+  (* emission splits into randomisation, the concolic resolve and the
+     readout of the test from the model *)
+  let emit_named = f "explore.t_randomize" +. f "concolic.time" +. f "explore.t_readout" in
+  let emit = f "explore.t_emit" in
+  Alcotest.(check bool)
+    (Printf.sprintf "emission timers %.3fs of %.3fs" emit_named emit)
+    true
+    (emit_named >= 0.9 *. emit)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-packet test sequences (stateful externs across packets, §5) *)
@@ -403,6 +444,8 @@ let () =
           Alcotest.test_case "seed variation" `Quick test_seed_changes_values_not_paths;
           Alcotest.test_case "solver rebuild threshold" `Quick test_rebuild_threshold;
           Alcotest.test_case "rebuilds below depth 8" `Quick test_rebuild_deep_spine;
+          Alcotest.test_case "probe synced, trimmed and rebuilt from its prefix" `Quick
+            test_probe_prefix;
           Alcotest.test_case "rebuild rule does not thrash" `Quick
             test_rebuild_no_thrash;
         ] );

@@ -123,6 +123,42 @@ let test_mutation_coverage () =
   Alcotest.(check int) "whole catalogue scored" (List.length Sim.Mutation.corpus)
     (List.length results)
 
+(* The suite contract: the six programs of the end-to-end benchmark's
+   gen_large workload (e2ebench/gen.ml), at oracle seed 1, must emit
+   exactly the suites recorded here.  A change that alters suites on
+   purpose updates these digests and says so in CHANGES.md. *)
+let contract_programs () =
+  let mb a = Progzoo.Generators.middleblock ~acl_stages:a () in
+  let sw s = Progzoo.Generators.switch_tna ~stages:s () in
+  [
+    ("middleblock_2acl_cap400", "v1model", mb 2, Some 400, "ef4147ce2a5d44be903d6c93465716e7");
+    ("middleblock_8acl_cap400", "v1model", mb 8, Some 400, "eadc136e9e1d29d3d74a2f60904fa7b8");
+    ("middleblock_2acl_full", "v1model", mb 2, None, "ecc31310a6e3d618c6705fc2426365b3");
+    ("switch4_tna_cap400", "tna", sw 4, Some 400, "7b6bee0095357f6704d7fe4e69318b55");
+    ("switch8_tna_cap400", "tna", sw 8, Some 400, "7dc01a4a6fe15367652ec30b8cdb0fe8");
+    ("up4_full", "v1model", Progzoo.Generators.up4 (), None, "5202e6aab2dfe9875b61cd1b944abe62");
+  ]
+
+let test_suite_contract () =
+  let got =
+    List.map
+      (fun (label, arch, src, cap, _) ->
+        let opts = { Testgen.Runtime.default_options with Testgen.Runtime.seed = 1 } in
+        let config = { Testgen.Explore.default_config with Testgen.Explore.max_tests = cap } in
+        let run =
+          Testgen.Oracle.generate ~opts ~config
+            (Option.get (Targets.Registry.find arch))
+            src
+        in
+        let tests = run.Testgen.Oracle.result.Testgen.Explore.tests in
+        (label, Digest.to_hex (Digest.string (Campaign.suite_fingerprint tests))))
+      (contract_programs ())
+  in
+  let expected = List.map (fun (label, _, _, _, d) -> (label, d)) (contract_programs ()) in
+  if got <> expected then
+    Alcotest.failf "suites changed; new digests:\n%s"
+      (String.concat "\n" (List.map (fun (l, d) -> Printf.sprintf "  %s %s" l d) got))
+
 let () =
   Alcotest.run "regressions"
     [
@@ -138,4 +174,6 @@ let () =
         ] );
       ( "mutation",
         [ Alcotest.test_case "catalogue coverage" `Slow test_mutation_coverage ] );
+      ( "contract",
+        [ Alcotest.test_case "gen_large suites unchanged" `Slow test_suite_contract ] );
     ]

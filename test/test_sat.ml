@@ -142,6 +142,145 @@ let test_fuzz_vs_dpll () =
   Alcotest.(check bool) "found sat instances" true (!sat_n > 100);
   Alcotest.(check bool) "found unsat instances" true (!unsat_n > 100)
 
+(* The clause normaliser's corner cases: literals repeated within a
+   clause, complementary pairs (a tautology), and literals over
+   variables that earlier unit clauses fixed at level 0 (dropping the
+   clause when true, the literal when false), all in unsorted order. *)
+let shuffle st l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+let messy_instance st =
+  let nvars = 5 + Random.State.int st 11 in
+  let ratio = 1.5 +. Random.State.float st 4.5 in
+  let nclauses = max 3 (int_of_float (float_of_int nvars *. ratio)) in
+  let lit v = if Random.State.bool st then Sat.pos v else Sat.neg v in
+  let units = List.init (Random.State.int st 4) (fun _ -> [ lit (Random.State.int st nvars) ]) in
+  let fixed = Array.of_list (List.concat units) in
+  let messy c =
+    let pick () = List.nth c (Random.State.int st (List.length c)) in
+    let c = if Random.State.int st 3 = 0 then pick () :: c else c in
+    let c = if Random.State.int st 8 = 0 then Sat.negate (pick ()) :: c else c in
+    let c =
+      if Array.length fixed > 0 && Random.State.int st 3 = 0 then
+        let u = fixed.(Random.State.int st (Array.length fixed)) in
+        (if Random.State.bool st then u else Sat.negate u) :: c
+      else c
+    in
+    shuffle st c
+  in
+  (nvars, units @ List.init nclauses (fun _ -> messy (random_clause st nvars)))
+
+let tautology c = List.exists (fun l -> List.mem (Sat.negate l) c) c
+
+(* a tautology may leave its variable unconstrained, hence unassigned *)
+let model_satisfies_nontrivial s clauses =
+  model_satisfies s (List.filter (fun c -> not (tautology c)) clauses)
+
+(* the same instance as the normaliser should see it: each clause
+   sorted and deduplicated, tautologies dropped *)
+let normalised clauses =
+  List.filter_map
+    (fun c ->
+      let c = List.sort_uniq compare c in
+      if tautology c then None else Some c)
+    clauses
+
+let test_fuzz_messy_clauses () =
+  let st = Random.State.make [| 0x3c1a9 |] in
+  let sat_n = ref 0 and unsat_n = ref 0 in
+  for i = 1 to 500 do
+    let nvars, clauses = messy_instance st in
+    let expected = Dpll.solve ~nvars clauses in
+    let s, got = cdcl_solve ~nvars clauses in
+    if got <> expected then
+      Alcotest.failf "messy instance %d (%d vars, %d clauses): cdcl=%b dpll=%b" i nvars
+        (List.length clauses) got expected;
+    (* normalising is invisible: a solver fed the normalised clauses
+       searches exactly the same way *)
+    let s', _ = cdcl_solve ~nvars (normalised clauses) in
+    if Sat.counters s <> Sat.counters s' || Sat.snapshot s <> Sat.snapshot s' then
+      Alcotest.failf "messy instance %d: search differs from the normalised instance's" i;
+    if got then begin
+      incr sat_n;
+      if not (model_satisfies_nontrivial s clauses) then
+        Alcotest.failf "messy instance %d: model violates a clause" i;
+      Sat.backtrack s;
+      if not (Sat.solve s) then
+        Alcotest.failf "messy instance %d: re-solve flipped to unsat" i;
+      if not (model_satisfies_nontrivial s clauses) then
+        Alcotest.failf "messy instance %d: re-solve model violates a clause" i
+    end
+    else incr unsat_n
+  done;
+  Alcotest.(check bool) "found sat instances" true (!sat_n > 100);
+  Alcotest.(check bool) "found unsat instances" true (!unsat_n > 100)
+
+(* One instance fed to its own solver clause by clause.  Its variables
+   are allocated on first use with unused ones in between, so the
+   solver's arrays and watch tables grow while it holds clauses. *)
+type feed = {
+  f_solver : Sat.t;
+  f_nvars : int;
+  f_clauses : int list array;
+  f_map : int array;  (* instance variable -> solver variable, -1 before use *)
+  mutable f_added : int;
+}
+
+let feed (nvars, clauses) =
+  {
+    f_solver = Sat.create ();
+    f_nvars = nvars;
+    f_clauses = Array.of_list clauses;
+    f_map = Array.make nvars (-1);
+    f_added = 0;
+  }
+
+let feed_lit st f l =
+  let v = l lsr 1 in
+  if f.f_map.(v) < 0 then begin
+    for _ = 1 to Random.State.int st 16 do
+      ignore (Sat.new_var f.f_solver)
+    done;
+    f.f_map.(v) <- Sat.new_var f.f_solver
+  end;
+  (2 * f.f_map.(v)) lor (l land 1)
+
+(* adds the feed's next clause, solves, and checks the answer (and the
+   model) against the reference on the clauses added so far *)
+let feed_step st f =
+  let c = f.f_clauses.(f.f_added) in
+  f.f_added <- f.f_added + 1;
+  let s = f.f_solver in
+  Sat.backtrack s;
+  Sat.add_clause s (List.map (feed_lit st f) c);
+  let prefix = Array.to_list (Array.sub f.f_clauses 0 f.f_added) in
+  let expected = Dpll.solve ~nvars:f.f_nvars prefix in
+  let got = Sat.solve s in
+  if got <> expected then
+    Alcotest.failf "after %d clauses: cdcl=%b dpll=%b" f.f_added got expected;
+  if
+    got
+    && not
+         (List.for_all
+            (fun c -> tautology c || List.exists (fun l -> Sat.lit_value s (feed_lit st f l)) c)
+            prefix)
+  then Alcotest.failf "after %d clauses: model violates a clause" f.f_added
+
+(* Two solvers alive at once, clauses added and solves run alternately:
+   each must agree with the reference at every step, so a write into one
+   solver's empty watch-list sentinel cannot go unnoticed. *)
+let test_two_solvers_interleaved () =
+  let st = Random.State.make [| 0x2b51 |] in
+  for _ = 1 to 40 do
+    let a = feed (messy_instance st) and b = feed (messy_instance st) in
+    let left f = f.f_added < Array.length f.f_clauses in
+    while left a || left b do
+      if left a then feed_step st a;
+      if left b then feed_step st b
+    done
+  done
+
 (* Models enumerated on a persistent solver (blocking each one over a
    fixed variable window) must keep satisfying every original clause
    while the learnt database and the saved/target phases accumulate
@@ -227,7 +366,12 @@ let test_budget () =
 let () =
   Alcotest.run "sat"
     [
-      ("fuzz", [ Alcotest.test_case "cdcl-vs-dpll-500" `Quick test_fuzz_vs_dpll ]);
+      ( "fuzz",
+        [
+          Alcotest.test_case "cdcl-vs-dpll-500" `Quick test_fuzz_vs_dpll;
+          Alcotest.test_case "cdcl-vs-dpll-500-messy-clauses" `Quick test_fuzz_messy_clauses;
+          Alcotest.test_case "two-solvers-interleaved" `Quick test_two_solvers_interleaved;
+        ] );
       ( "reduce_db",
         [
           Alcotest.test_case "model-survives-reduction" `Quick
