@@ -96,10 +96,9 @@ let tables () =
 let fig7 () =
   header "Fig. 7 — average CPU time spent in P4Testgen phases";
   let sample name arch src config =
-    let p = Oracle.prepare (target_of arch) src in
-    let prep = p.Oracle.prep_time in
-    let st = Oracle.initial_state p in
-    let result = Explore.run ~config p.Oracle.ctx st in
+    let run = Oracle.generate ~config (target_of arch) src in
+    let prep = run.Oracle.prepared.Oracle.prep_time in
+    let result = run.Oracle.result in
     let total = prep +. result.Explore.total_time in
     let solve = result.Explore.solve_time in
     let step = result.Explore.stats.Explore.t_step in

@@ -40,9 +40,8 @@ let report_obs ~metrics ~trace (tracks : (string * Obs.Registry.t) list) =
         Printf.eprintf "error: cannot write trace: %s\n" msg;
         1)
 
-let run_generate file target backend max_tests max_paths seed strategy fixed_size
-    no_constraints no_random unroll seq_packets out_file validate print_tests metrics
-    trace verbose =
+let run_generate file target backend max_tests max_paths strategy opts out_file validate
+    print_tests metrics trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -56,17 +55,6 @@ let run_generate file target backend max_tests max_paths seed strategy fixed_siz
           1
       | Some be -> (
           let source = In_channel.with_open_text file In_channel.input_all in
-          let opts =
-            {
-              Testgen.Runtime.default_options with
-              seed;
-              fixed_packet_bytes = fixed_size;
-              apply_constraints = not no_constraints;
-              randomize = not no_random;
-              unroll_bound = unroll;
-              seq_packets;
-            }
-          in
           let config =
             { Testgen.Explore.default_config with max_tests; max_paths; strategy }
           in
@@ -213,17 +201,29 @@ let trace =
 
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Verbose logging")
 
+(* the run options of generate and batch, built once from their flags *)
+let opts =
+  let make seed fixed_packet_bytes no_constraints no_random unroll_bound seq_packets =
+    {
+      Testgen.Runtime.unroll_bound;
+      fixed_packet_bytes;
+      apply_constraints = not no_constraints;
+      randomize = not no_random;
+      seed;
+      seq_packets;
+    }
+  in
+  Term.(const make $ seed $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets)
+
 let generate_t =
   Term.(
-    const run_generate $ file $ target $ backend $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ out_file
-    $ validate $ print_tests $ metrics $ trace $ verbose)
+    const run_generate $ file $ target $ backend $ max_tests $ max_paths $ strategy $ opts
+    $ out_file $ validate $ print_tests $ metrics $ trace $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* batch: many programs across domains *)
 
-let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_constraints
-    no_random unroll seq_packets metrics trace verbose =
+let run_batch files target jobs max_tests max_paths strategy opts metrics trace verbose =
   setup_logs verbose;
   match Targets.Registry.find target with
   | None ->
@@ -231,17 +231,6 @@ let run_batch files target jobs max_tests max_paths seed strategy fixed_size no_
       list_targets ();
       1
   | Some tgt ->
-      let opts =
-        {
-          Testgen.Runtime.default_options with
-          seed;
-          fixed_packet_bytes = fixed_size;
-          apply_constraints = not no_constraints;
-          randomize = not no_random;
-          unroll_bound = unroll;
-          seq_packets;
-        }
-      in
       let config =
         { Testgen.Explore.default_config with max_tests; max_paths; strategy }
       in
@@ -300,9 +289,8 @@ let jobs =
 
 let batch_t =
   Term.(
-    const run_batch $ batch_files $ target $ jobs $ max_tests $ max_paths $ seed $ strategy
-    $ fixed_size $ no_constraints $ no_random $ unroll $ seq_packets $ metrics $ trace
-    $ verbose)
+    const run_batch $ batch_files $ target $ jobs $ max_tests $ max_paths $ strategy $ opts
+    $ metrics $ trace $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* selftest: the differential fuzzing campaign (§7/§8) *)
@@ -700,9 +688,9 @@ let selftest_cmd =
         "Generates random well-typed P4 programs for all three architectures, \
          runs the oracle on each, executes every generated test on the \
          independent concrete simulator, and checks cross-cutting invariants \
-         (seed determinism, parallel-exploration determinism, strategy \
-         agreement).  Any disagreement is automatically shrunk to a minimal \
-         repro with AST-level delta debugging.";
+         (seed determinism, strategy agreement).  Any disagreement is \
+         automatically shrunk to a minimal repro with AST-level delta \
+         debugging.";
       `P
         "The campaign summary (cases, failures, tests, feature coverage) is \
          independent of $(b,--jobs): identical for any worker count.";

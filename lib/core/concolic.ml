@@ -51,9 +51,7 @@ let bindings_of s (calls : concolic_call list) : Expr.t list * Expr.t list =
   in
   (arg_eqs, out_eqs)
 
-(* [extra] are additional soft assumptions (e.g. randomization
-   preferences) applied on a best-effort basis. *)
-let resolve ?(extra = []) (s : Solver.t) (st : state) : outcome =
+let resolve (s : Solver.t) (st : state) : outcome =
   (* report into the registry of the solver's run *)
   let reg = Solver.obs s in
   let c_blocked = Obs.Registry.counter reg "concolic.blocked" in
@@ -64,33 +62,27 @@ let resolve ?(extra = []) (s : Solver.t) (st : state) : outcome =
       | Solver.Sat -> true
       | Solver.Unsat -> false
     in
-    if calls = [] then begin
-      if extra <> [] && try_with extra then Resolved (Solver.model_eval s)
-      else
-        match Solver.check s with
-        | Solver.Sat -> Resolved (Solver.model_eval s)
-        | Solver.Unsat -> Infeasible
-    end
+    if calls = [] then
+      match Solver.check s with
+      | Solver.Sat -> Resolved (Solver.model_eval s)
+      | Solver.Unsat -> Infeasible
     else begin
-      let rec attempt n blocked soft =
-        if n > max_retries then Infeasible
-        else if not (try_with (blocked @ soft)) then
-          if soft <> [] then attempt n blocked [] else Infeasible
+      let rec attempt n blocked =
+        if n > max_retries || not (try_with blocked) then Infeasible
         else begin
           (* phase 1 model obtained; compute concrete bindings *)
           let arg_eqs, out_eqs = bindings_of s calls in
-          if try_with (blocked @ soft @ arg_eqs @ out_eqs) then
-            Resolved (Solver.model_eval s)
+          if try_with (blocked @ arg_eqs @ out_eqs) then Resolved (Solver.model_eval s)
           else begin
             (* block this argument assignment and retry (§5.4,
                "handling unsatisfiable concolic assignments") *)
             Obs.Counter.incr c_blocked;
             let block = Expr.bnot (Expr.conj (Solver.ctx s) arg_eqs) in
-            attempt (n + 1) (block :: blocked) soft
+            attempt (n + 1) (block :: blocked)
           end
         end
       in
-      attempt 0 [] extra
+      attempt 0 []
     end
   in
   let outcome = Obs.Timer.time (Obs.Registry.timer reg "concolic.time") go in

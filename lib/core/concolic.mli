@@ -27,7 +27,6 @@ type outcome =
   | Infeasible
       (** no consistent concrete binding exists within the retry budget *)
 
-val resolve : ?extra:Smt.Expr.t list -> Smt.Solver.t -> Runtime.state -> outcome
+val resolve : Smt.Solver.t -> Runtime.state -> outcome
 (** [resolve solver st] assumes the solver currently holds [st]'s path
-    constraints (the explorer's DFS spine).  [extra] adds best-effort
-    assumptions dropped on conflict. *)
+    constraints (the explorer's DFS spine). *)

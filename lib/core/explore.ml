@@ -28,10 +28,6 @@ type config = {
       (** ignored: every run explores sequentially.  Kept only so
           existing callers that set it still build; slated for
           deletion. *)
-  qcache_store : Smt.Qcache.store option;
-      (** cross-run digest-set store (the serve daemon passes the
-          prepared oracle's store so cache facts survive between
-          requests for the same fingerprint) *)
   on_test : (Testspec.t -> unit) option;
       (** incremental test callback: invoked once per *accepted* test,
           in emission order, as paths close — before the run finishes,
@@ -68,7 +64,6 @@ let default_config =
     max_paths = None;
     strategy = Dfs;
     path_jobs = 0;
-    qcache_store = None;
     on_test = None;
     deadline = None;
     rebuild_size_threshold = 4000;
@@ -455,12 +450,10 @@ type engine = {
 
 let new_solver (ctx : ctx) = Solver.create ~obs:ctx.obs ctx.ectx
 
-let make_engine (ctx : ctx) (cfg : config) =
+let make_engine ?store (ctx : ctx) (cfg : config) =
   let cells = make_cells ctx.obs in
   let e_qc =
-    if cfg.query_cache then
-      Some (Smt.Qcache.create ~obs:ctx.obs ?store:cfg.qcache_store ())
-    else None
+    if cfg.query_cache then Some (Smt.Qcache.create ~obs:ctx.obs ?store ()) else None
   in
   {
     e_ctx = ctx;
@@ -713,7 +706,7 @@ let rec dfs eng st =
                        | None -> ());
                        Solver.pop !(eng.e_solver);
                        Obs.Timer.add tm (Obs.Clock.now () -. t1))
-                     (fun () -> dfs eng (add_cond c b.br_state))
+                     (fun () -> dfs eng b.br_state)
                  end
                  else begin
                    Obs.Timer.add tm (Obs.Clock.now () -. t0);
@@ -737,15 +730,16 @@ let rec dfs eng st =
 (* Driver
 
    The run reports deltas against a baseline snapshot, so a registry
-   that already carries earlier runs (same prepared context) stays
-   sound. *)
+   that already carries earlier runs stays sound.  [store] is the
+   cross-run query-cache store: runs over one prepared program pass
+   the same store, so cache facts one run publishes seed the next. *)
 
-let run ?(config = default_config) (ctx : ctx) (st0 : state) : result =
+let run ?(config = default_config) ?store (ctx : ctx) (st0 : state) : result =
   let reg = ctx.obs in
   let snap0 = Obs.Registry.snapshot reg in
   let t_start = Obs.Clock.now () in
   let sp_explore = Obs.Span.enter reg "explore" in
-  let eng = make_engine ctx config in
+  let eng = make_engine ?store ctx config in
   (try dfs eng st0 with Stop -> ());
   Solver.flush_stats !(eng.e_solver);
   Solver.flush_stats !(eng.e_probe);

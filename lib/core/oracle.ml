@@ -2,16 +2,20 @@
 
    Mirrors the three-phase workflow of §4:
    1. parse + prelude + mid-end passes ([prepare]),
-   2. symbolic execution over whole-program semantics ([Explore.run]
-      with the target's pipeline template),
+   2. the target's pipeline template instantiated over a fresh run
+      context ([instantiate]) and explored symbolically over
+      whole-program semantics ([Explore.run]),
    3. abstract test specifications ([Testspec.t]) that back ends
       concretize. *)
 
 open Runtime
 
+(* phase 1's output and nothing of any run: no term context, no
+   registry, no options *)
 type prepared = {
-  ctx : Runtime.ctx;
   prog : P4.Ast.program;
+  tctx : P4.Typing.ctx;
+  nstmts : int;
   target : (module Target_intf.S);
   prep_time : float;
   qstore : Smt.Qcache.store;
@@ -23,7 +27,8 @@ type prepared = {
    The raising [prepare] below is the historical entry point (the CLI
    keys its exit behavior on the exception constructors); a long-lived
    caller — the serve daemon — needs the same failures as data so one
-   bad program fails one request instead of the process. *)
+   bad program fails one request instead of the process
+   ([prepare_result]). *)
 
 type prepare_error =
   | Parse_error of { msg : string; line : int; col : int }
@@ -44,15 +49,6 @@ let prepare_error_kind = function
   | Type_error _ -> "typecheck"
   | Arch_error _ -> "exec"
 
-(* the raising [prepare] reconstructs the original exception, so
-   pre-existing handlers (CLI, tests) observe exactly what they always
-   did *)
-let raise_prepare_error = function
-  | Parse_error { msg; line; col } ->
-      raise (P4.Parser.Error (msg, { P4.Ast.line; col }))
-  | Type_error msg -> raise (P4.Typing.Type_error msg)
-  | Arch_error msg -> raise (Runtime.Exec_error msg)
-
 (* ------------------------------------------------------------------ *)
 (* Program fingerprints: the cache key of the prepared-oracle cache.
 
@@ -64,11 +60,11 @@ let raise_prepare_error = function
    starts reading an option, that field must be appended here and the
    version bumped, or stale prepared values would be served. *)
 
-(* fp2: the prepared value now carries a query-cache store
-   ([qstore]) whose digest sets are derived from the compiled term
-   graph — prepared payloads from fp1 builds are not equivalent, so
-   the version bumps (see DESIGN.md, "Fingerprint versioning") *)
-let fingerprint_version = "p4tg-fp2"
+(* fp3: the prepared value holds only phase 1's output (program,
+   typing context, statement count) and the query-cache store, no run
+   context — payloads from fp2 builds are not equivalent, so the
+   version bumps (see DESIGN.md, "Fingerprint versioning") *)
+let fingerprint_version = "p4tg-fp3"
 
 let fingerprint ~arch (source : string) : (string, prepare_error) result =
   let buf = Buffer.create (String.length source) in
@@ -109,88 +105,63 @@ let fingerprint ~arch (source : string) : (string, prepare_error) result =
   | exception P4.Lexer.Error (msg, pos) ->
       Error (Parse_error { msg; line = pos.P4.Ast.line; col = pos.P4.Ast.col })
 
-let prepare ?(opts = Runtime.default_options) ?obs (target : (module Target_intf.S))
-    (source : string) : prepared =
+(* [opts] is accepted and ignored: the mid-end reads no option (see
+   [fingerprint]); the options a run explores with go to
+   [instantiate]. *)
+let prepare ?opts:_ ?obs (target : (module Target_intf.S)) (source : string) : prepared =
   let module T = (val target) in
-  (* the run's registry exists before its term context: the front-end
-     phases below are already observed *)
+  (* the caller's registry observes the front-end phases; the prepared
+     value keeps no reference to it *)
   let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   let t0 = Obs.Clock.now () in
   let sp = Obs.Span.enter obs "prepare" in
-  (* [Runtime.make_ctx] below allocates a fresh term context for this
-     run, so two prepared values coexist: terms and solvers of one run
-     stay valid while another run explores *)
   let prelude, user =
     Obs.Span.with_ obs "parse" (fun () ->
         (P4.Parser.parse_program T.prelude, P4.Parser.parse_program source))
   in
-  let prog, nstmts, tctx =
-    Obs.Span.with_ obs "passes" (fun () ->
-        let prog = prelude @ user in
-        let prog = P4.Passes.fold prog in
-        let tctx = P4.Typing.build prog in
-        let prog = P4.Passes.elim_stack_indices tctx prog in
-        let prog, nstmts = P4.Passes.number_statements prog in
-        (prog, nstmts, tctx))
+  let prog, tctx, nstmts =
+    Obs.Span.with_ obs "passes" (fun () -> P4.Passes.prepare (prelude @ user))
   in
-  let ctx = Runtime.make_ctx ~opts ~obs prog ~nstmts tctx in
-  ctx.extern_hook <- T.extern;
-  ctx.reject_hook <- T.on_reject;
-  (* sequence boundary: archive the finished packet, then let the
-     target re-initialise its intrinsic metadata for the next one, so
-     extern state (registers, counters, meters) persists while
-     per-packet state starts fresh *)
-  ctx.next_packet_hook <-
-    (fun ctx st -> T.init ctx (Runtime.next_packet ctx ~port_width:T.port_width st));
   Obs.Span.exit obs sp;
   let prep_time = Obs.Clock.now () -. t0 in
   Obs.Timer.add (Obs.Registry.timer obs "oracle.prep_time") prep_time;
-  { ctx; prog; target; prep_time; qstore = Smt.Qcache.create_store () }
+  { prog; tctx; nstmts; target; prep_time; qstore = Smt.Qcache.create_store () }
 
-let initial_state (p : prepared) : Runtime.state =
-  let module T = (val p.target) in
-  let st = Runtime.initial_state p.ctx ~port_width:T.port_width in
-  T.init p.ctx st
+type run = { result : Explore.result; prepared : prepared; obs : Obs.Registry.t }
 
-type run = { result : Explore.result; prepared : prepared }
+let registry (r : run) = r.obs
 
-let registry (r : run) = r.prepared.ctx.Runtime.obs
-
-(* [instantiate]: a request-scoped replica over the *cached* front-end
-   work — its own term context and registry over the same (immutable,
-   already passed) program, re-initialised by the same target.
-   Because [make_ctx] and [T.init] are deterministic, the replica's
-   initial state is structurally identical to [initial_state p].  It
-   takes its own options (a cached prepared value serves requests with
-   any seed/strategy/budget — the mid-end artifacts do not depend on
-   them, see [fingerprint]) and its own registry, so a daemon can
-   account each request separately. *)
+(* [instantiate]: phase 2, the only place a run context is built — a
+   fresh term context and the caller's registry over the prepared
+   (immutable, already passed) program, with the target's hooks and
+   its pipeline template.  Options are the run's own: a prepared value
+   serves runs with any seed, strategy or budget, because the mid-end
+   artifacts do not depend on them (see [fingerprint]). *)
 let instantiate ?(opts = Runtime.default_options) ?obs (p : prepared) :
     Runtime.ctx * Runtime.state =
-  let reg = match obs with Some r -> r | None -> Obs.Registry.create () in
+  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
   let module T = (val p.target) in
   let ctx =
-    Runtime.make_ctx ~opts ~obs:reg p.prog ~nstmts:p.ctx.Runtime.nstmts
-      p.ctx.Runtime.tctx
+    Runtime.make_ctx ~opts ~obs ~extern:T.extern ~on_reject:T.on_reject
+      (* sequence boundary: archive the finished packet, then let the
+         target re-initialise its intrinsic metadata for the next one,
+         so extern state (registers, counters, meters) persists while
+         per-packet state starts fresh *)
+      ~next_packet:(fun ctx st ->
+        T.init ctx (Runtime.next_packet ctx ~port_width:T.port_width st))
+      p.prog ~nstmts:p.nstmts p.tctx
   in
-  ctx.Runtime.extern_hook <- T.extern;
-  ctx.Runtime.reject_hook <- T.on_reject;
-  ctx.Runtime.next_packet_hook <-
-    (fun ctx st -> T.init ctx (Runtime.next_packet ctx ~port_width:T.port_width st));
-  let st = Runtime.initial_state ctx ~port_width:T.port_width in
-  (ctx, T.init ctx st)
+  (ctx, T.init ctx (Runtime.initial_state ctx ~port_width:T.port_width))
 
 (* phase 1 as a result: every way the front end can reject a program,
-   captured as data.  [prepare] keeps raising (reconstructed verbatim
-   by [raise_prepare_error]), so existing exception handlers see no
-   change.  One throwaway [instantiate] runs the target's [init], so a
-   program the target cannot instantiate (an unknown block in the
-   package, say) is rejected here rather than by every later request
-   that reuses the prepared value. *)
-let prepare_result ?opts ?obs target source : (prepared, prepare_error) result =
+   captured as data.  One throwaway [instantiate] runs the target's
+   [init], so a program the target cannot instantiate (an unknown
+   block in the package, say) is rejected here rather than by every
+   later request that reuses the prepared value. *)
+let prepare_result ?obs target source : (prepared, prepare_error) result =
   match
-    let p = prepare ?opts ?obs target source in
-    ignore (instantiate ?opts p);
+    let p = prepare ?obs target source in
+    ignore (instantiate p);
     p
   with
   | p -> Ok p
@@ -201,42 +172,30 @@ let prepare_result ?opts ?obs target source : (prepared, prepare_error) result =
   | exception P4.Typing.Type_error msg -> Error (Type_error msg)
   | exception Runtime.Exec_error msg -> Error (Arch_error msg)
 
-(* route the prepared value's query-cache store into the exploration
-   config unless the caller wired one explicitly: repeated runs over
-   one prepared program then share SAT/UNSAT slice facts *)
-let with_qstore (p : prepared) (config : Explore.config) =
-  match config.Explore.qcache_store with
-  | Some _ -> config
-  | None -> { config with Explore.qcache_store = Some p.qstore }
+(* Phases 2 and 3 over an already-prepared program: the warm path of
+   the prepared-oracle cache, and the second half of [generate].  Runs
+   over one prepared value share its query-cache store.  The returned
+   run's [prep_time] is 0: this run paid no phase-1 cost. *)
+let explore_prepared ?opts ?config ?obs (p : prepared) : run =
+  let obs = match obs with Some r -> r | None -> Obs.Registry.create () in
+  let ctx, st = instantiate ?opts ~obs p in
+  let result = Explore.run ?config ~store:p.qstore ctx st in
+  { result; prepared = { p with prep_time = 0.0 }; obs }
 
-let generate ?(opts = Runtime.default_options) ?(config = Explore.default_config)
-    (target : (module Target_intf.S)) (source : string) : run =
-  let p = prepare ~opts target source in
-  let st = initial_state p in
-  let result = Explore.run ~config:(with_qstore p config) p.ctx st in
-  { result; prepared = p }
-
-(* End-to-end generation over an already-prepared program: phase 1 is
-   skipped entirely (the warm path of the prepared-oracle cache).
-   Because [Runtime.make_ctx] and the target's [init] are
-   deterministic, the replica context is structurally identical to the
-   one [generate] would have built from the same source and options —
-   the test set is bit-identical to a single-shot [generate] with the
-   same seed.  The returned run's [prep_time] is 0: this run paid no
-   phase-1 cost. *)
-let explore_prepared ?(opts = Runtime.default_options)
-    ?(config = Explore.default_config) ?obs (p : prepared) : run =
-  let ctx, st = instantiate ~opts ?obs p in
-  let result = Explore.run ~config:(with_qstore p config) ctx st in
-  { result; prepared = { p with ctx; prep_time = 0.0 } }
+(* prepare, then explore, both reporting into one registry; the run
+   keeps the prepared value with its real [prep_time] *)
+let generate ?opts ?config (target : (module Target_intf.S)) (source : string) : run =
+  let obs = Obs.Registry.create () in
+  let p = prepare ~obs target source in
+  { (explore_prepared ?opts ?config ~obs p) with prepared = p }
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver: many oracle jobs across OCaml domains.
 
-   Each job owns its term context (created by [prepare]) and its own
-   solver stack, so jobs share no mutable term state; the only shared
-   structure is the atomic work-queue index that idle domains pull
-   from.  A job's result therefore depends only on its own options
+   Each job owns its term context (created by its [instantiate]) and
+   its own solver stack, so jobs share no mutable term state; the only
+   shared structure is the atomic work-queue index that idle domains
+   pull from.  A job's result therefore depends only on its own options
    (in particular the seed), never on scheduling — [jobs = 1] and
    [jobs = N] produce identical test sets per job. *)
 
@@ -278,7 +237,7 @@ let generate_batch ?(jobs = 1) (js : job list) : batch =
   let out = Array.make n (Failed "not run") in
   (* extra domains come out of the shared pool *)
   Explore.Pool.iter jobs n (fun _ i -> out.(i) <- run_job arr.(i));
-  (* every job owns its registry (created by its [prepare]), so the
+  (* every job owns its registry (created by its [generate]), so the
      per-domain snapshots merge associatively with no synchronization;
      the stats record is the same façade projected from the merge *)
   let merged_obs =

@@ -2,28 +2,32 @@
     mirroring the paper's three-phase workflow (§4):
 
     + {!prepare} parses the target's architecture prelude plus the user
-      program and runs the mid-end passes (constant folding, dead-code
-      elimination, stack-index elimination, statement numbering);
-    + the target's pipeline template is instantiated
-      ({!initial_state});
+      program and runs the mid-end passes (constant folding with
+      dead-branch elimination, typing, stack-index elimination,
+      statement numbering);
+    + {!instantiate} builds a run context over the prepared program
+      and instantiates the target's pipeline template in it;
     + {!Explore.run} symbolically executes the whole-program semantics
       and emits abstract test specifications.
 
-    {!generate} performs all three. *)
+    {!explore_prepared} performs the last two, {!generate} all three. *)
 
 type prepared = {
-  ctx : Runtime.ctx;
-  prog : P4.Ast.program;
+  prog : P4.Ast.program;  (** prelude plus program, after the mid-end *)
+  tctx : P4.Typing.ctx;  (** typing context of [prog] *)
+  nstmts : int;  (** countable statements (the coverage denominator) *)
   target : (module Target_intf.S);
   prep_time : float;  (** seconds spent in phase 1 (Fig. 7's "IR prep") *)
   qstore : Smt.Qcache.store;
       (** query-cache store shared by every run over this prepared
           program: SAT/UNSAT slice facts published by one run are
-          seeded into the next ({!generate}/{!explore_prepared} wire
-          it into the exploration config unless the caller set one).
-          Part of the prepared payload, hence fingerprint version
-          "p4tg-fp2". *)
+          seeded into the next ({!explore_prepared} passes it to
+          {!Explore.run}). *)
 }
+(** Phase 1's output and nothing of any run: no term context, metrics
+    registry or options, so a cached value stays the same size however
+    many runs explore it (only [qstore] grows).  Part of the prepared
+    payload, hence fingerprint version "p4tg-fp3". *)
 
 (** {1 Structured preparation errors} *)
 
@@ -33,7 +37,8 @@ type prepare_error =
   | Type_error of string  (** the program is not well-typed *)
   | Arch_error of string
       (** the program does not fit the target architecture
-          ({!Runtime.Exec_error} during phase 1) *)
+          ({!Runtime.Exec_error} from the target's pipeline template,
+          see {!prepare_result}) *)
 
 val prepare_error_message : prepare_error -> string
 (** Human-readable one-liner ("LINE:COL: parse error: ..."). *)
@@ -42,14 +47,7 @@ val prepare_error_kind : prepare_error -> string
 (** Stable machine tag: ["parse"], ["typecheck"] or ["exec"] — the
     serve protocol's error kinds. *)
 
-val raise_prepare_error : prepare_error -> 'a
-(** Re-raises the exception the error was captured from
-    ({!P4.Parser.Error}, {!P4.Typing.Type_error} or
-    {!Runtime.Exec_error}), byte-for-byte as [prepare] would have
-    raised it. *)
-
 val prepare_result :
-  ?opts:Runtime.options ->
   ?obs:Obs.Registry.t ->
   (module Target_intf.S) ->
   string ->
@@ -57,7 +55,8 @@ val prepare_result :
 (** {!prepare} with every front-end failure captured as data instead
     of an exception — the entry point for long-lived callers (the
     serve daemon) where one bad program must fail one request, not the
-    process. *)
+    process.  One throwaway {!instantiate} runs the target's [init], so
+    a program the target cannot instantiate is an [Arch_error] here. *)
 
 (** {1 Program fingerprints}
 
@@ -82,28 +81,25 @@ val prepare :
   string ->
   prepared
 (** [prepare target source] runs phase 1.  Raises
-    {!P4.Parser.Error} on syntax errors and {!Runtime.Exec_error} when
-    the program does not fit the architecture.  Allocates a fresh
-    {!Smt.Expr.ctx} for the run, so any number of prepared values can
-    coexist and interleave; terms and solvers never cross runs.
+    {!P4.Parser.Error} on syntax errors and {!P4.Typing.Type_error}
+    when the program is not well-typed.  Allocates no term context:
+    that is {!instantiate}'s job, once per run.
 
-    [obs] is the run's metrics registry (a fresh one is allocated when
-    omitted, reachable as [ctx.Runtime.obs] or via {!registry}).  The
-    whole stack reports into it: [prepare] records the [prepare] /
-    [parse] / [passes] spans and the [oracle.prep_time] timer, and the
-    explorer, solver, SAT core and concolic resolver add their own
-    metrics during {!Explore.run}. *)
+    [obs] receives the [prepare] / [parse] / [passes] spans and the
+    [oracle.prep_time] timer; the prepared value keeps no reference to
+    it.  [opts] is ignored: the mid-end reads no option. *)
 
-val initial_state : prepared -> Runtime.state
-(** Pipeline-template instantiation (phase 2): the returned state has
-    the target's block sequence and glue continuations queued. *)
-
-type run = { result : Explore.result; prepared : prepared }
+type run = {
+  result : Explore.result;
+  prepared : prepared;
+  obs : Obs.Registry.t;  (** the run's metrics registry, see {!registry} *)
+}
 
 val registry : run -> Obs.Registry.t
 (** The run's metrics registry — counters, timers and spans recorded
-    by every layer during the run ([= run.prepared.ctx.Runtime.obs]).
-    Export it with {!Obs.Trace.write_chrome} or print a
+    by every layer during the run: the explorer, solver, SAT core and
+    concolic resolver, and for {!generate} also [prepare]'s spans and
+    timer.  Export it with {!Obs.Trace.write_chrome} or print a
     {!Obs.Registry.snapshot}. *)
 
 val instantiate :
@@ -111,16 +107,18 @@ val instantiate :
   ?obs:Obs.Registry.t ->
   prepared ->
   Runtime.ctx * Runtime.state
-(** A request-scoped replica over the cached front-end work: a fresh
-    term context reporting into [obs], over the same already-passed
-    program, re-initialised by the same target with caller-chosen
-    options.  Preparation is deterministic, so the replica's initial
-    state is structurally identical to [initial_state p] under the
-    same options.  A cached [prepared] value serves requests with any
-    seed, strategy or budget — the mid-end artifacts do not depend on
-    them (see {!fingerprint}).  Safe to call concurrently from several
-    domains on the same [prepared]: only immutable preparation data is
-    read. *)
+(** Phase 2, and the only place a run context is built: a fresh
+    {!Smt.Expr.ctx} reporting into [obs] (a fresh registry when
+    omitted), over the already-passed program, with the target's
+    extern, reject and next-packet hooks and caller-chosen options.
+    The returned state has the target's block sequence and glue
+    continuations queued.  A prepared value serves runs with any seed,
+    strategy or budget — the mid-end artifacts do not depend on them
+    (see {!fingerprint}).  Terms and solvers never cross runs, so any
+    number of runs can coexist and interleave, and it is safe to call
+    concurrently from several domains on the same [prepared]: only
+    immutable preparation data is read.  Raises {!Runtime.Exec_error}
+    when the program does not fit the architecture. *)
 
 val generate :
   ?opts:Runtime.options ->
@@ -128,8 +126,10 @@ val generate :
   (module Target_intf.S) ->
   string ->
   run
-(** End-to-end test generation for a P4 source string: prepare, then
-    one sequential {!Explore.run} on the calling domain. *)
+(** End-to-end test generation for a P4 source string: {!prepare},
+    then {!explore_prepared}, both into one fresh registry, on the
+    calling domain.  The run's [prepared] carries the real
+    [prep_time]. *)
 
 val explore_prepared :
   ?opts:Runtime.options ->
@@ -138,17 +138,18 @@ val explore_prepared :
   prepared ->
   run
 (** {!generate} minus phase 1 — the warm path of the prepared-oracle
-    cache.  Explores a fresh {!instantiate}d replica, so the test set
-    is bit-identical to a single-shot {!generate} of the same source
-    with the same options, and several requests can explore the same
-    [prepared] concurrently.  The returned run's [prep_time] is [0.]:
-    this run paid no preparation. *)
+    cache: {!instantiate} into [obs], then one sequential
+    {!Explore.run} with the program's [qstore].  {!generate} runs this
+    same code, so the test set is bit-identical to a {!generate} of the
+    same source with the same options, and several requests can
+    explore the same [prepared] concurrently.  The returned run's
+    [prep_time] is [0.]: this run paid no preparation. *)
 
 (** {1 Batch driver}
 
     Runs many oracle jobs across OCaml domains.  Each job owns its
-    term context and solver stack (created by its own {!prepare}), so
-    jobs share no mutable term state; idle domains pull the next job
+    term context and solver stack (created by its own {!instantiate}),
+    so jobs share no mutable term state; idle domains pull the next job
     from an atomic queue index.  Results depend only on each job's
     options (seed included), never on scheduling: [jobs = 1] and
     [jobs = N] produce identical test sets per job. *)

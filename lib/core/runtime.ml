@@ -1,10 +1,9 @@
 (* Central run-time representation for the symbolic executor.
 
    A {!state} is the paper's "independent execution state object" (§6):
-   the symbolic environment, collected path conditions, the
-   continuation stack ({!work}), packet-sizing variables I/L/E
-   (§5.2.1), control-plane objects, extern state, concolic call
-   records, and coverage.  States are immutable; forking a path is
+   the symbolic environment, the continuation stack ({!work}),
+   packet-sizing variables I/L/E (§5.2.1), control-plane objects,
+   extern state, concolic call records, and coverage.  States are immutable; forking a path is
    ordinary functional update. *)
 
 module Bits = Bitv.Bits
@@ -22,7 +21,6 @@ let fail fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
 
 type options = {
   unroll_bound : int;  (** parser-loop bound (visits per state per path) *)
-  max_recirc : int;  (** recirculation bound *)
   fixed_packet_bytes : int option;  (** precondition: exact input size *)
   apply_constraints : bool;  (** apply @entry_restriction preconditions *)
   randomize : bool;  (** prefer random values for free test inputs *)
@@ -36,7 +34,6 @@ type options = {
 let default_options =
   {
     unroll_bound = 3;
-    max_recirc = 2;
     fixed_packet_bytes = None;
     apply_constraints = true;
     randomize = true;
@@ -57,12 +54,12 @@ type ctx = {
   nstmts : int;  (** total countable statements (coverage denominator) *)
   opts : options;
   rng : Random.State.t;
-  mutable extern_hook : extern_hook;
-  mutable reject_hook : reject_hook;
-  mutable next_packet_hook : next_packet_hook;
+  extern_hook : extern_hook;  (** the target's extern dispatch *)
+  reject_hook : reject_hook;  (** the target's parser-error semantics *)
+  next_packet_hook : next_packet_hook;
       (** advances a finished pipeline to the next packet of a test
-          sequence; installed by {!Oracle.prepare} to compose
-          {!next_packet} with the target's pipeline-template [init]. *)
+          sequence: {!Oracle.instantiate} composes {!next_packet} with
+          the target's pipeline-template [init]. *)
   mutable uninit_is_zero : bool;
       (** target policy for uninitialized variables: BMv2 implicitly
           zero-initializes, Tofino leaves them undefined (Tbl. 6) *)
@@ -134,7 +131,6 @@ and pkt_record = {
 and state = {
   env : Expr.t Env.t;  (** leaf path -> value *)
   vartypes : Ast.typ Env.t;  (** declared variable path -> type *)
-  path_cond : Expr.t list;  (** newest first *)
   work : work list;
   chunks : Expr.t list;  (** input chunks, newest first; I = concat (rev) *)
   live : Expr.t;  (** L *)
@@ -185,10 +181,10 @@ let fresh_var ctx prefix w = Expr.var ctx.ectx (fresh_name ctx prefix) w
 (* Packet boundary of a test sequence (§5): archive the finished
    packet's I/O, reset the per-packet packet model and pipeline
    bookkeeping, and mint a fresh input port.  Extern state (registers,
-   counters, meters), the environment, control-plane entries, path
-   conditions, coverage and concolic records all persist — that
-   continuity is what lets a warm-up packet unlock register-dependent
-   paths in a later one.  [ctrl_taint] is sticky: taint that influenced
+   counters, meters), the environment, control-plane entries, coverage
+   and concolic records all persist, as does the path condition on the
+   explorer's spine — that continuity is what lets a warm-up packet
+   unlock register-dependent paths in a later one.  [ctrl_taint] is sticky: taint that influenced
    control flow taints the rest of the sequence. *)
 let next_packet ctx ~port_width st =
   let archived =
@@ -218,7 +214,9 @@ let next_packet ctx ~port_width st =
     trace = Printf.sprintf "-- packet boundary (%d more)" left :: st.trace;
   }
 
-let rec make_ctx ?(opts = default_options) ?obs (prog : Ast.program) ~nstmts tctx =
+(* A run context over a prepared program.  [Oracle.instantiate] is the
+   only caller: it composes the hooks from the target. *)
+let make_ctx ~opts ~obs ~extern ~on_reject ~next_packet (prog : Ast.program) ~nstmts tctx =
   let parsers = Hashtbl.create 8 and controls = Hashtbl.create 8 in
   List.iter
     (function
@@ -227,10 +225,10 @@ let rec make_ctx ?(opts = default_options) ?obs (prog : Ast.program) ~nstmts tct
       | _ -> ())
     prog;
   {
-    (* each run context owns a fresh term context: two prepared runs
-       can coexist and interleave, or run on different domains *)
+    (* each run context owns a fresh term context: two runs can
+       coexist and interleave, or run on different domains *)
     ectx = Expr.create_ctx ();
-    obs = (match obs with Some r -> r | None -> Obs.Registry.create ());
+    obs;
     prog;
     tctx;
     parsers;
@@ -238,23 +236,16 @@ let rec make_ctx ?(opts = default_options) ?obs (prog : Ast.program) ~nstmts tct
     nstmts;
     opts;
     rng = Random.State.make [| opts.seed |];
-    extern_hook = (fun _ name _ _ _ -> fail "no handler for extern %s" name);
-    reject_hook =
-      (fun _ _ err st ->
-        (* default: parsing stops; execution continues after the parser *)
-        [ { br_cond = None; br_state = pop_to_reject err st; br_label = "reject:" ^ err } ]);
-    (* default: archive the finished packet but queue no pipeline work
-       for the next one (the target-composed hook from Oracle.prepare
-       replaces this); with an empty work stack the explorer then
-       finishes the path, so a missing hook degrades to single-packet
-       behavior instead of looping *)
-    next_packet_hook =
-      (fun ctx st -> next_packet ctx ~port_width:(Expr.width st.in_port) st);
+    extern_hook = extern;
+    reject_hook = on_reject;
+    next_packet_hook = next_packet;
     uninit_is_zero = false;
     fresh_ctr = 0;
   }
 
-and pop_to_reject err st =
+(* parser reject as the targets' [on_reject] hooks use it: parsing
+   stops; execution continues after the parser *)
+let pop_to_reject err st =
   let rec go = function
     | [] -> []
     | WExitFrame (KParserFrame, _, _) :: _ as w -> w
@@ -266,7 +257,6 @@ let initial_state ctx ~port_width =
   {
     env = Env.empty;
     vartypes = Env.empty;
-    path_cond = [];
     work = [];
     chunks = [];
     live = empty_bits ctx.ectx;
@@ -297,7 +287,6 @@ let initial_state ctx ~port_width =
 
 let continue_ st = [ { br_cond = None; br_state = st; br_label = "" } ]
 
-let add_cond cond st = { st with path_cond = cond :: st.path_cond }
 let note msg st = { st with trace = msg :: st.trace }
 
 let cover pos st =

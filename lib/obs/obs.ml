@@ -203,9 +203,9 @@ module Registry = struct
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   (* fold an immutable reading back into live cells: counters and
-     timers accumulate, gauges high-water.  Used by the parallel path
-     explorer to account accepted per-task registries into the run's
-     registry (the dual of [Snapshot.merge] for a mutable target). *)
+     timers accumulate, gauges high-water (the dual of [Snapshot.merge]
+     for a mutable target).  The selftest campaign uses it to account
+     each case's run into its worker's registry. *)
   let absorb t (s : Snapshot.t) =
     List.iter
       (fun (name, v) ->
@@ -337,46 +337,4 @@ module Trace = struct
       tracks;
     Buffer.add_string buf "]}\n";
     Out_channel.output_string oc (Buffer.contents buf)
-
-  let write_jsonl oc tracks =
-    let buf = Buffer.create 4096 in
-    let t0 = epoch tracks in
-    List.iter
-      (fun (label, reg) ->
-        List.iter
-          (fun sp ->
-            Buffer.clear buf;
-            Buffer.add_string buf "{\"type\":\"span\",\"track\":";
-            buf_string buf label;
-            Buffer.add_string buf ",\"name\":";
-            buf_string buf sp.sp_name;
-            Buffer.add_string buf (Printf.sprintf ",\"ts\":%.9f" (sp.sp_ts -. t0));
-            Buffer.add_string buf (Printf.sprintf ",\"dur\":%.9f" sp.sp_dur);
-            Buffer.add_string buf (Printf.sprintf ",\"depth\":%d" sp.sp_depth);
-            if sp.sp_args <> [] then begin
-              Buffer.add_string buf ",\"args\":";
-              buf_args buf sp.sp_args
-            end;
-            Buffer.add_string buf "}\n";
-            Out_channel.output_string oc (Buffer.contents buf))
-          (Registry.completed_spans reg);
-        List.iter
-          (fun (name, v) ->
-            Buffer.clear buf;
-            Buffer.add_string buf "{\"type\":\"metric\",\"track\":";
-            buf_string buf label;
-            Buffer.add_string buf ",\"name\":";
-            buf_string buf name;
-            Buffer.add_string buf ",\"kind\":";
-            buf_string buf
-              (match v with
-              | Snapshot.Count _ -> "counter"
-              | Snapshot.Level _ -> "gauge"
-              | Snapshot.Seconds _ -> "timer");
-            Buffer.add_string buf ",\"value\":";
-            Snapshot.add_json_value buf v;
-            Buffer.add_string buf "}\n";
-            Out_channel.output_string oc (Buffer.contents buf))
-          (Registry.snapshot reg))
-      tracks
 end

@@ -118,9 +118,9 @@ module Registry : sig
   (** Folds a snapshot into the registry's live cells — counters and
       timers accumulate, gauges high-water (the mutable dual of
       {!Snapshot.merge}).  Raises [Invalid_argument] if a name carries
-      a different kind in the registry.  The parallel explorer uses
-      this to account accepted per-task registries into the run's
-      registry so that merged totals are scheduling independent. *)
+      a different kind in the registry.  The selftest campaign uses
+      this to account each case's run into its worker's registry, so
+      that merged totals are independent of the worker count. *)
 
   val spans : t -> (string * float * int) list
   (** Completed spans, oldest first: (name, duration seconds, nesting
@@ -154,8 +154,4 @@ module Trace : sig
   (** Chrome [trace_event] JSON ({{:https://ui.perfetto.dev}Perfetto} /
       [about:tracing] format): one object with a [traceEvents] array;
       timestamps are rebased to the earliest span. *)
-
-  val write_jsonl : out_channel -> (string * Registry.t) list -> unit
-  (** One JSON object per line: every completed span, then every
-      metric reading. *)
 end

@@ -589,9 +589,6 @@ let generate_for ~(arch : arch) ~seed : gen =
   in
   { src; features = List.sort compare fs.tags }
 
-(** Back-compat: a random v1model program from a seed. *)
-let generate ~seed : string = (generate_for ~arch:V1model ~seed).src
-
 (* ------------------------------------------------------------------ *)
 (* Feature tags recovered from an AST.
 

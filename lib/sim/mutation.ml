@@ -139,7 +139,6 @@ let corpus : t list =
     tofino "TOF-16" Wrong_code "Action data wider than 8 bits is truncated." Truncate_action_arg;
   ]
 
-let by_target tgt = List.filter (fun m -> m.m_target = tgt) corpus
 let by_label l = List.find_opt (fun m -> m.m_label = l) corpus
 
 (* resolve a CLI spelling: a corpus label ("P4C-7", "TOF-12") or a

@@ -54,8 +54,6 @@ val corpus : t list
     descriptions) plus the sequence-persistence fault SEQ-1 — and 16
     Tofino-side faults, matching the counts of Tbl. 2. *)
 
-val by_target : string -> t list
-
 val by_label : string -> t option
 (** Look up a corpus entry by its label ("P4C-7", "TOF-12"). *)
 

@@ -69,7 +69,6 @@ let create_ctx () =
 
 let ctx_of e = e.ctx
 let ctx_id c = c.ctx_id
-let same_ctx a b = a.ctx == b.ctx
 
 let width e = e.width
 let tainted e = e.tainted
@@ -410,8 +409,6 @@ let lshr a b = mk_shift (fun a b -> Lshr (a, b)) Bits.shift_right a b
 let ashr a b = mk_shift (fun a b -> Ashr (a, b)) Bits.shift_right_arith a b
 
 let conj ctx es = List.fold_left band (tru ctx) es
-let disj ctx es = List.fold_left bor (fls ctx) es
-let implies a b = bor (bnot a) b
 
 (* ------------------------------------------------------------------ *)
 (* Taint mask *)
@@ -501,8 +498,6 @@ let vars e =
 
 let sym_of_var v = 2 * v.vid
 let sym_of_taint id = (2 * id) + 1
-let sym_is_taint s = s land 1 = 1
-let sym_id s = s asr 1
 
 let merge_syms (a : int array) (b : int array) : int array =
   if Array.length a = 0 then b

@@ -57,8 +57,6 @@ val ctx_of : t -> ctx
 val ctx_id : ctx -> int
 (** A process-unique id (diagnostics only). *)
 
-val same_ctx : t -> t -> bool
-
 val width : t -> int
 val tainted : t -> bool
 
@@ -122,8 +120,6 @@ val band : t -> t -> t
 val bor : t -> t -> t
 val bnot : t -> t
 val conj : ctx -> t list -> t
-val disj : ctx -> t list -> t
-val implies : t -> t -> t
 
 (** {1 Observation} *)
 
@@ -148,8 +144,6 @@ val support : t -> int array
 
 val sym_of_var : var -> int
 val sym_of_taint : int -> int
-val sym_is_taint : int -> bool
-val sym_id : int -> int
 (** Conversions for the symbol-id namespace used by {!support}. *)
 
 val digest : t -> string

@@ -24,6 +24,9 @@ let port_width = 9
 let drop_port = 511
 let min_packet_bytes = None
 
+(* resubmissions plus recirculations allowed per path *)
+let max_recirc = 2
+
 let prelude =
   {|
 struct standard_metadata_t {
@@ -374,7 +377,7 @@ and egress_ops (b : blocks) : work list =
 and traffic_manager ctx (b : blocks) st : branch list =
   ignore ctx;
   let resub = read_leaf st resubmit_p in
-  if Expr.is_true resub && st.recircs < ctx.opts.max_recirc then begin
+  if Expr.is_true resub && st.recircs < max_recirc then begin
     (* resubmit: the original input packet re-enters the ingress parser *)
     let st = note "resubmit" st in
     let st = { st with live = input_expr st; recircs = st.recircs + 1 } in
@@ -459,7 +462,7 @@ and finalize (b : blocks) ctx st : branch list =
   in
   let recirc = read_leaf st recirc_p in
   if Expr.is_true recirc then begin
-    if st.recircs >= ctx.opts.max_recirc then []
+    if st.recircs >= max_recirc then []
     else begin
       (* the deparsed packet re-enters the ingress parser *)
       let st = note "recirculate" st in

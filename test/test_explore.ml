@@ -320,12 +320,11 @@ let test_probe_prefix () =
 (* The driver: direct calls, deadlines, callback exceptions *)
 
 let test_direct_call () =
-  (* [Explore.run] needs no [Oracle]: a direct call over a prepared
-     context emits exactly the suite [Oracle.generate] emits with the
-     same config *)
+  (* a direct [Explore.run] over an instantiated context emits exactly
+     the suite [Oracle.generate] emits with the same config *)
   let src = Progzoo.Corpus.lpm_router in
-  let p = Oracle.prepare v1model src in
-  let r = Explore.run p.Oracle.ctx (Oracle.initial_state p) in
+  let ctx, st = Oracle.instantiate (Oracle.prepare v1model src) in
+  let r = Explore.run ctx st in
   Alcotest.(check bool) "some tests" true (r.Explore.tests <> []);
   let via_oracle = generate src in
   Alcotest.(check (list string)) "same suite as Oracle.generate"

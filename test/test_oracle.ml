@@ -299,8 +299,8 @@ let test_tna () =
   Alcotest.(check bool) "has drop test" true (List.exists Testspec.is_drop tests)
 
 (* ------------------------------------------------------------------ *)
-(* Re-entrancy: every [prepare] owns its term context, so prepared
-   runs can interleave and even execute on different domains. *)
+(* Re-entrancy: every [instantiate] owns its term context, so runs can
+   interleave and even execute on different domains. *)
 
 let tests_of (run : Oracle.run) =
   List.map Testspec.to_string run.Oracle.result.Explore.tests
@@ -309,14 +309,12 @@ let test_interleaved_prepare () =
   (* reference: sequential, non-interleaved runs *)
   let ref_a = tests_of (generate fig1a) in
   let ref_b = tests_of (generate fig1b) in
-  (* interleaved: prepare both runs up front, then explore B before A.
-     A's terms and solver state must stay valid while B explores. *)
-  let pa = Oracle.prepare Targets.V1model.target fig1a in
-  let pb = Oracle.prepare Targets.V1model.target fig1b in
-  let sta = Oracle.initial_state pa in
-  let stb = Oracle.initial_state pb in
-  let rb = Explore.run pb.Oracle.ctx stb in
-  let ra = Explore.run pa.Oracle.ctx sta in
+  (* interleaved: instantiate both runs up front, then explore B before
+     A.  A's terms and solver state must stay valid while B explores. *)
+  let ctx_a, sta = Oracle.instantiate (Oracle.prepare Targets.V1model.target fig1a) in
+  let ctx_b, stb = Oracle.instantiate (Oracle.prepare Targets.V1model.target fig1b) in
+  let rb = Explore.run ctx_b stb in
+  let ra = Explore.run ctx_a sta in
   let got_a = List.map Testspec.to_string ra.Explore.tests in
   let got_b = List.map Testspec.to_string rb.Explore.tests in
   Alcotest.(check (list string)) "run A unaffected by interleaving" ref_a got_a;

@@ -156,54 +156,49 @@ let slicing_equisat_prop =
          List.length (List.concat comps) = List.length conds
          && sat_of conds = List.for_all sat_of comps))
 
-(* The final states of the first [n] feasible paths in DFS order; each
-   carries the branch conditions the explorer records along its path. *)
-let path_states ~n ~sat (ctx : Runtime.ctx) st0 =
+(* The path conditions of the first [n] feasible paths in DFS order:
+   the branch conditions taken along each path, newest first. *)
+let path_conds ~n ~sat (ctx : Runtime.ctx) st0 =
   let found = ref [] in
   let full () = List.length !found >= n in
-  let rec go st =
+  let rec go conds st =
     if not (full ()) then
       match Testgen.Step.step ctx st with
       | exception Runtime.Exec_error _ -> ()
-      | None -> found := st :: !found
+      | None -> found := conds :: !found
       | Some branches ->
           List.iter
             (fun (b : Runtime.branch) ->
-              let st' =
-                match b.Runtime.br_cond with
-                | Some c -> Runtime.add_cond c b.Runtime.br_state
-                | None -> b.Runtime.br_state
+              let conds' =
+                match b.Runtime.br_cond with Some c -> c :: conds | None -> conds
               in
-              if (not (full ())) && sat st'.Runtime.path_cond then go st')
+              if (not (full ())) && sat conds' then go conds' b.Runtime.br_state)
             branches
   in
-  go st0;
+  go [] st0;
   List.rev !found
 
-(* the same property over *real* path conditions: a finished path's
-   state carries the recorded branch conditions of a feasible path, and
-   fuzzed programs vary their shape *)
+(* the same property over *real* path conditions: the branch
+   conditions of a feasible path, over fuzzed programs that vary their
+   shape *)
 let test_randprog_path_slices () =
   List.iter
     (fun seed ->
       let gen = Randprog.generate_for ~arch:Randprog.V1model ~seed in
-      let p = Oracle.prepare v1model gen.Randprog.src in
-      let ectx = p.Oracle.ctx.Runtime.ectx in
+      let ctx, st0 = Oracle.instantiate (Oracle.prepare v1model gen.Randprog.src) in
+      let ectx = ctx.Runtime.ectx in
       let sat cs =
         let s = Solver.create ectx in
         List.iter (Solver.assert_ s) cs;
         Solver.check s = Solver.Sat
       in
-      let states =
-        path_states ~n:4 ~sat p.Oracle.ctx (Oracle.initial_state p)
-      in
+      let paths = path_conds ~n:4 ~sat ctx st0 in
       Alcotest.(check bool)
-        (Printf.sprintf "seed %d: a state with several conditions" seed)
+        (Printf.sprintf "seed %d: a path with several conditions" seed)
         true
-        (List.exists (fun st -> List.length st.Runtime.path_cond >= 2) states);
+        (List.exists (fun conds -> List.length conds >= 2) paths);
       List.iteri
-        (fun k st ->
-          let conds = st.Runtime.path_cond in
+        (fun k conds ->
           let comps = Qcache.components conds in
           Alcotest.(check int)
             (Printf.sprintf "seed %d prefix %d: partition covers" seed k)
@@ -223,7 +218,7 @@ let test_randprog_path_slices () =
                 (sat neg)
                 (List.for_all sat (Qcache.components neg))
           | _ -> ())
-        states)
+        paths)
     [ 1; 7; 23 ]
 
 (* ------------------------------------------------------------------ *)

@@ -152,6 +152,25 @@ let test_prepare_still_raises () =
        false
      with P4.Parser.Error _ -> true)
 
+(* a cached prepared value must not grow with the runs that explore
+   it: a cold daemon request prepares and explores with one registry,
+   and neither that registry nor the run's term context may stay
+   reachable from the value.  The query cache is off, so the store
+   (the one part meant to grow) stays empty. *)
+let test_prepared_keeps_no_run () =
+  let r = Obs.Registry.create () in
+  match Oracle.prepare_result ~obs:r v1model (Progzoo.Generators.middleblock ()) with
+  | Error e -> Alcotest.failf "unexpected: %s" (Oracle.prepare_error_message e)
+  | Ok p ->
+      let words () = Obj.reachable_words (Obj.repr p) in
+      let before = words () in
+      let config =
+        { Explore.default_config with Explore.max_tests = Some 50; query_cache = false }
+      in
+      let run = Oracle.explore_prepared ~config ~obs:r p in
+      Alcotest.(check int) "50 tests" 50 (List.length run.Oracle.result.Explore.tests);
+      Alcotest.(check int) "prepared size unchanged by the run" before (words ())
+
 (* ------------------------------------------------------------------ *)
 (* Streaming emission *)
 
@@ -535,6 +554,8 @@ let () =
         [
           Alcotest.test_case "structured errors" `Quick test_prepare_result_errors;
           Alcotest.test_case "prepare still raises" `Quick test_prepare_still_raises;
+          Alcotest.test_case "a prepared program keeps nothing of its runs" `Quick
+            test_prepared_keeps_no_run;
         ] );
       ( "streaming",
         [ Alcotest.test_case "on_test = final tests" `Quick test_on_test_streaming ] );
