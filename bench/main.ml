@@ -13,6 +13,8 @@
      dune exec bench/main.exe -- gate      serve cold vs warm, corpus vs
                                            random; exit 1 if any row
                                            fails
+     dune exec bench/main.exe -- solver    the decision procedure's work
+                                           on each gen_large program
 
    Absolute numbers differ from the paper (its substrate was BMv2/Tofino
    hardware and 13-hour runs); the *shape* of each result is the claim
@@ -375,6 +377,51 @@ let gate () =
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* The decision procedure's work on the six programs of the end-to-end
+   benchmark's gen_large workload (e2ebench/gen.ml), at oracle seed 1:
+   checks, SAT work per check, the most SAT variables one solver held,
+   blaster cache misses and solver time.  Counts are deterministic;
+   the time is this host's. *)
+
+let solver () =
+  header "Solver — gen_large programs at oracle seed 1";
+  let mb a = Progzoo.Generators.middleblock ~acl_stages:a () in
+  let sw s = Progzoo.Generators.switch_tna ~stages:s () in
+  let programs =
+    [
+      ("middleblock_2acl_cap400", "v1model", mb 2, Some 400);
+      ("middleblock_8acl_cap400", "v1model", mb 8, Some 400);
+      ("middleblock_2acl_full", "v1model", mb 2, None);
+      ("switch4_tna_cap400", "tna", sw 4, Some 400);
+      ("switch8_tna_cap400", "tna", sw 8, Some 400);
+      ("up4_full", "v1model", Progzoo.Generators.up4 (), None);
+    ]
+  in
+  Printf.printf "%-24s %7s %10s %9s %8s %12s %9s
+" "program" "checks" "props/chk" "decs/chk"
+    "vars_hw" "blast_misses" "solver_s";
+  let row name d =
+    let i = Obs.Snapshot.get_int d in
+    let checks = i "solver.checks" in
+    let per k = float_of_int (i k) /. float_of_int (max 1 checks) in
+    Printf.printf "%-24s %7d %10.1f %9.1f %8d %12d %9.3f
+" name checks (per "sat.propagations")
+      (per "sat.decisions") (i "solver.vars_hw") (i "blast.cache_misses")
+      (Obs.Snapshot.get_float d "solver.time")
+  in
+  let total =
+    List.fold_left
+      (fun acc (name, arch, src, cap) ->
+        let opts = { Runtime.default_options with Runtime.seed = 1 } in
+        let config = { Explore.default_config with Explore.max_tests = cap } in
+        let d = (generate ~opts ~config arch src).Oracle.result.Explore.obs in
+        row name d;
+        Obs.Snapshot.merge acc d)
+      Obs.Snapshot.empty programs
+  in
+  row "total" total
+
+(* ------------------------------------------------------------------ *)
 
 let all () =
   fig1 ();
@@ -396,7 +443,8 @@ let () =
   | [ _; "table4a" ] -> table4a ()
   | [ _; "table4b" ] -> table4b ()
   | [ _; "gate" ] -> gate ()
+  | [ _; "solver" ] -> solver ()
   | _ ->
       prerr_endline
-        "usage: main.exe [fig1 | tables | fig7 | table2 | table3 | table4a | table4b | gate]";
+        "usage: main.exe [fig1 | tables | fig7 | table2 | table3 | table4a | table4b | gate | solver]";
       exit 2

@@ -58,16 +58,19 @@ let run_generate file target backend max_tests max_paths strategy opts out_file 
           let config =
             { Testgen.Explore.default_config with max_tests; max_paths; strategy }
           in
-          match Testgen.Oracle.generate ~opts ~config tgt source with
-          | exception Testgen.Runtime.Exec_error msg ->
-              Printf.eprintf "error: %s\n" msg;
+          (* the same front door as serve: every front-end failure comes
+             back as data, then the prepared program is explored into
+             the same registry *)
+          let reg = Obs.Registry.create () in
+          match Testgen.Oracle.prepare_result ~obs:reg tgt source with
+          | Error (Testgen.Oracle.Parse_error _ as e) ->
+              Printf.eprintf "%s:%s\n" file (Testgen.Oracle.prepare_error_message e);
               1
-          | exception P4.Parser.Error (msg, pos) ->
-              Printf.eprintf "%s:%d:%d: parse error: %s\n" file pos.P4.Ast.line
-                pos.P4.Ast.col msg;
+          | Error e ->
+              Printf.eprintf "error: %s\n" (Testgen.Oracle.prepare_error_message e);
               1
-          | run ->
-              let reg = Testgen.Oracle.registry run in
+          | Ok prepared ->
+              let run = Testgen.Oracle.explore_prepared ~opts ~config ~obs:reg prepared in
               let result = run.Testgen.Oracle.result in
               let tests = result.Testgen.Explore.tests in
               let stats = result.Testgen.Explore.stats in

@@ -40,13 +40,8 @@ type config = {
           emitted so far are kept.  A run
           cut by its deadline is time-dependent, so determinism
           guarantees only hold for runs that finish before it. *)
-  (* The two fields below are test-only: the CLI, the daemon and
-     the benchmarks always run with their defaults. *)
-  rebuild_size_threshold : int;
-      (** SAT variables a solver may accumulate before it is eligible
-          for a rebuild (it is rebuilt once it has also doubled since
-          its last rebuild, see [maybe_rebuild]); tests shrink it to
-          force rebuilds *)
+  (* The field below is test-only: the CLI, the daemon and the
+     benchmarks always run with its default. *)
   query_cache : bool;
       (** consult the {!Smt.Qcache} independence-slicing cache before
           paying for a branch-feasibility solver check.  Cache
@@ -66,7 +61,6 @@ let default_config =
     path_jobs = 0;
     on_test = None;
     deadline = None;
-    rebuild_size_threshold = 4000;
     query_cache = true;
   }
 
@@ -358,8 +352,9 @@ let seq_boundary (ctx : ctx) (st : state) : state option =
 (* DFS engine
 
    The engine is the state of one depth-first walk: a context, two
-   solvers (each rebuilt when it accumulates dead variables), the
-   spine of active assertions, and the accumulated tests. *)
+   solvers (each holding only its live scopes: a pop frees what the
+   scope added), the spine of active assertions, and the accumulated
+   tests. *)
 
 type cells = {
   c_paths : Obs.Counter.t;
@@ -373,14 +368,12 @@ type cells = {
   c_branch_checks : Obs.Counter.t;
   c_budget_cut : Obs.Counter.t;
   c_seq_paths : Obs.Counter.t;
-  c_rebuilds : Obs.Counter.t;
   tm_step : Obs.Timer.t;
   tm_emit : Obs.Timer.t;
   tm_randomize : Obs.Timer.t;
   tm_readout : Obs.Timer.t;
   tm_emit_solve : Obs.Timer.t;
   tm_branch : Obs.Timer.t;
-  tm_rebuild : Obs.Timer.t;
   tm_solve : Obs.Timer.t;
 }
 
@@ -397,16 +390,14 @@ let make_cells reg =
     c_branch_checks = Obs.Registry.counter reg "explore.branch_checks";
     c_budget_cut = Obs.Registry.counter reg "explore.budget_cut";
     c_seq_paths = Obs.Registry.counter reg "explore.sequence_paths";
-    c_rebuilds = Obs.Registry.counter reg "solver.rebuilds";
     tm_step = Obs.Registry.timer reg "explore.t_step";
     tm_emit = Obs.Registry.timer reg "explore.t_emit";
     tm_randomize = Obs.Registry.timer reg "explore.t_randomize";
     tm_readout = Obs.Registry.timer reg "explore.t_readout";
     tm_emit_solve = Obs.Registry.timer reg "explore.t_emit_solve";
     tm_branch = Obs.Registry.timer reg "explore.t_branch";
-    tm_rebuild = Obs.Registry.timer reg "explore.t_rebuild";
-    (* solver time lives in the registry and therefore accumulates
-       across solver rebuilds (every solver of a run shares it) *)
+    (* solver time lives in the registry, which both solvers of a run
+       share *)
     tm_solve = Obs.Registry.timer reg "solver.time";
   }
 
@@ -414,33 +405,27 @@ type engine = {
   e_ctx : ctx;
   e_cfg : config;
   e_cells : cells;
-  e_solver : Solver.t ref;
+  e_solver : Solver.t;
       (* the *emission* solver: it carries only conditions of paths
          actually descended into (the feasible spine conds) and
          answers every test-construction query.  Its assertion and
          check history is a pure function of the explored tree — in
          particular independent of the query cache — which is what
          keeps emitted tests bit-identical with the cache on or off. *)
-  e_probe : Solver.t ref;
+  e_probe : Solver.t;
       (* the *probe* solver: answers the branch feasibility checks the
          query cache cannot.  It holds the outermost [e_probe_depth]
          conditions of the spine and is synced to the whole spine only
          when it checks, so a branch the cache answers never touches
          it *)
   mutable e_probe_depth : int;
-  e_solver_live : int ref;
-  e_probe_live : int ref;
-      (* each solver's size right after its last rebuild (0 before the
-         first): its live part, the spine, at that point *)
   e_qc : Smt.Qcache.t option;
       (* branch-feasibility query cache; [None] when
          [config.query_cache] is off *)
   e_spine : Expr.t list ref;
       (* the DFS spine's active assertions, innermost first: the
          emission solver's scope stack plus, during a branch's verdict,
-         the candidate condition.  Lets us sync the probe and rebuild a
-         fresh solver when the old one has accumulated too many dead
-         variables *)
+         the candidate condition.  Lets us sync the probe *)
   mutable e_depth : int;  (* length of [e_spine] *)
   mutable e_tests : Testspec.t list;  (* newest first *)
   mutable e_covered : IntSet.t;
@@ -459,11 +444,9 @@ let make_engine ?store (ctx : ctx) (cfg : config) =
     e_ctx = ctx;
     e_cfg = cfg;
     e_cells = cells;
-    e_solver = ref (new_solver ctx);
-    e_probe = ref (new_solver ctx);
+    e_solver = new_solver ctx;
+    e_probe = new_solver ctx;
     e_probe_depth = 0;
-    e_solver_live = ref 0;
-    e_probe_live = ref 0;
     e_qc;
     e_spine = ref [];
     e_depth = 0;
@@ -487,31 +470,6 @@ let push_conds s conds =
       Solver.push s;
       Solver.assert_ s c)
     conds
-
-(* A solver is rebuilt once it has outgrown both
-   [rebuild_size_threshold] and twice its live size after its last
-   rebuild: past that point the dead variables of popped scopes
-   outnumber the live ones, whatever the spine's depth.  The factor 2
-   keeps a solver whose live part alone passes the threshold (a deep
-   spine) from rebuilding on every pop.  Each solver rebuilds on its own
-   size, from what it holds when this runs: the emission solver from the
-   whole spine, the probe from its prefix of it. *)
-let maybe_rebuild eng =
-  let rebuild_one sref live depth =
-    let size = Solver.size !sref in
-    if size > eng.e_cfg.rebuild_size_threshold && size > 2 * !live then begin
-      (* retire the old solver: push its residual counter activity
-         into the registry before it becomes unreachable *)
-      Solver.flush_stats !sref;
-      Obs.Counter.incr eng.e_cells.c_rebuilds;
-      let s = new_solver eng.e_ctx in
-      push_conds s (spine_slice eng 0 depth);
-      sref := s;
-      live := Solver.size s
-    end
-  in
-  rebuild_one eng.e_solver eng.e_solver_live eng.e_depth;
-  rebuild_one eng.e_probe eng.e_probe_live eng.e_probe_depth
 
 let check_budget eng =
   (match eng.e_cfg.max_tests with
@@ -553,18 +511,12 @@ let finish eng st =
        else
          match
            build_test eng.e_ctx ~t_randomize:eng.e_cells.tm_randomize
-             ~t_readout:eng.e_cells.tm_readout !(eng.e_solver) st
+             ~t_readout:eng.e_cells.tm_readout eng.e_solver st
          with
          | exception Smt.Sat.Budget_exhausted ->
              Obs.Counter.incr eng.e_cells.c_disc_budget
          | None -> Obs.Counter.incr eng.e_cells.c_disc_concolic
          | Some t ->
-             (* the emission model satisfies the whole path — a
-                high-coverage witness for future slice queries *)
-             (match eng.e_qc with
-             | Some q ->
-                 Smt.Qcache.note_model q (Solver.capture_model !(eng.e_solver))
-             | None -> ());
              eng.e_covered <- IntSet.union st.covered eng.e_covered;
              full := cov && IntSet.cardinal eng.e_covered >= eng.e_ctx.nstmts;
              Obs.Counter.incr eng.e_cells.c_tests;
@@ -589,7 +541,7 @@ let pop_spine eng =
   eng.e_spine := List.tl !(eng.e_spine);
   eng.e_depth <- eng.e_depth - 1;
   while eng.e_probe_depth > eng.e_depth do
-    Solver.pop !(eng.e_probe);
+    Solver.pop eng.e_probe;
     eng.e_probe_depth <- eng.e_probe_depth - 1
   done
 
@@ -598,10 +550,10 @@ let pop_spine eng =
    core's conflict budget cut it.  A cut branch is not entered, and its
    verdict is unknown, not infeasible: nothing is cached for it. *)
 let probe_check eng =
-  push_conds !(eng.e_probe) (spine_slice eng eng.e_probe_depth eng.e_depth);
+  push_conds eng.e_probe (spine_slice eng eng.e_probe_depth eng.e_depth);
   eng.e_probe_depth <- eng.e_depth;
   Obs.Counter.incr eng.e_cells.c_branch_checks;
-  match Solver.check !(eng.e_probe) with
+  match Solver.check eng.e_probe with
   | r -> Some (r = Solver.Sat)
   | exception Smt.Sat.Budget_exhausted ->
       Obs.Counter.incr eng.e_cells.c_budget_cut;
@@ -673,7 +625,7 @@ let rec dfs eng st =
                         (match r with
                         | Some true ->
                             Smt.Qcache.note_sat q
-                              (Solver.capture_model !(eng.e_probe))
+                              (Solver.capture_model eng.e_probe)
                         | Some false -> Smt.Qcache.note_unsat q
                         | None -> ());
                         r)
@@ -683,8 +635,9 @@ let rec dfs eng st =
                        condition it witnesses the child's feasibility
                        (every condition entered since that model was
                        produced passed this same test, so the model
-                       still satisfies the whole path) *)
-                    if Solver.holds !(eng.e_probe) c then Some true
+                       still satisfies the whole path; trimming the
+                       probe drops its model) *)
+                    if Solver.holds eng.e_probe c then Some true
                     else probe_check eng
               in
               (try
@@ -692,8 +645,8 @@ let rec dfs eng st =
                    (* only feasible conditions reach the emission
                       solver, so its history never depends on how a
                       feasibility verdict was obtained *)
-                   Solver.push !(eng.e_solver);
-                   Solver.assert_ !(eng.e_solver) c;
+                   Solver.push eng.e_solver;
+                   Solver.assert_ eng.e_solver c;
                    (match eng.e_qc with
                    | Some q -> Smt.Qcache.push q c
                    | None -> ());
@@ -704,7 +657,7 @@ let rec dfs eng st =
                        (match eng.e_qc with
                        | Some q -> Smt.Qcache.pop q
                        | None -> ());
-                       Solver.pop !(eng.e_solver);
+                       Solver.pop eng.e_solver;
                        Obs.Timer.add tm (Obs.Clock.now () -. t1))
                      (fun () -> dfs eng b.br_state)
                  end
@@ -720,10 +673,7 @@ let rec dfs eng st =
                  raise e);
               let t1 = Obs.Clock.now () in
               pop_spine eng;
-              let t2 = Obs.Clock.now () in
-              Obs.Timer.add tm (t2 -. t1);
-              maybe_rebuild eng;
-              Obs.Timer.add eng.e_cells.tm_rebuild (Obs.Clock.now () -. t2))
+              Obs.Timer.add tm (Obs.Clock.now () -. t1))
         (order eng branches)
 
 (* ------------------------------------------------------------------ *)
@@ -741,8 +691,8 @@ let run ?(config = default_config) ?store (ctx : ctx) (st0 : state) : result =
   let sp_explore = Obs.Span.enter reg "explore" in
   let eng = make_engine ?store ctx config in
   (try dfs eng st0 with Stop -> ());
-  Solver.flush_stats !(eng.e_solver);
-  Solver.flush_stats !(eng.e_probe);
+  Solver.flush_stats eng.e_solver;
+  Solver.flush_stats eng.e_probe;
   (match eng.e_qc with Some q -> Smt.Qcache.publish q | None -> ());
   let tests = List.rev eng.e_tests in
   let n_seq = List.length (List.filter Testspec.is_sequence tests) in

@@ -242,12 +242,25 @@ let run_pipeline ?explore ?seq_packets ~fault ~arch ~seed ~max_tests src :
 
 let suite_fingerprint tests = String.concat "\n--\n" (List.map Testspec.to_string tests)
 
-(* the cadenced cross-cutting invariants; [None] = all hold *)
-let check_invariants ~arch ~seed ~max_tests ~seq_packets ~(i : int) src :
+(* the cadenced cross-cutting invariants; [None] = all hold.  Every
+   run keeps the campaign's path cap: [max_tests] alone does not bound
+   a run whose paths end tainted, since a taint-dropped path is not a
+   test.  [obs], when given, absorbs every invariant run's metrics. *)
+let check_invariants ?obs ~arch ~seed ~max_tests ~seq_packets ~(i : int) src :
     (string * string) option =
   let opts = { Runtime.default_options with seed; seq_packets } in
-  let gen config = (Oracle.generate ~opts ~config (target_of arch) src).Oracle.result.Explore.tests in
-  let base_cfg = { Explore.default_config with Explore.max_tests = Some max_tests } in
+  let gen config =
+    let result = (Oracle.generate ~opts ~config (target_of arch) src).Oracle.result in
+    Option.iter (fun reg -> Obs.Registry.absorb reg result.Explore.obs) obs;
+    result.Explore.tests
+  in
+  let base_cfg =
+    {
+      Explore.default_config with
+      Explore.max_tests = Some max_tests;
+      max_paths = campaign_explore.Explore.max_paths;
+    }
+  in
   let checks = ref [] in
   if i mod 5 = 0 then
     checks :=
@@ -263,15 +276,15 @@ let check_invariants ~arch ~seed ~max_tests ~seq_packets ~(i : int) src :
       ( Printf.sprintf "%s strategy validates" name,
         fun () ->
           match
-            run_pipeline
+            run_pipeline_cov
               (* keep the campaign's path cap: without it a heavily
                  mutated program's full path tree is walked once its
                  novelty dries up *)
               ~explore:{ campaign_explore with Explore.strategy = strat }
-              ~seq_packets ~fault:Sim.Mutation.No_fault ~arch ~seed ~max_tests src
+              ~seq_packets ?obs ~fault:Sim.Mutation.No_fault ~arch ~seed ~max_tests src
           with
-          | All_pass _ -> None
-          | Diff (kind, detail) -> Some (kind ^ ": " ^ detail) )
+          | All_pass _, _ -> None
+          | Diff (kind, detail), _ -> Some (kind ^ ": " ^ detail) )
     in
     checks := strategy_check "Rnd" Explore.Rnd :: !checks;
     if i mod 6 = 0 then checks := strategy_check "Dfs" Explore.Dfs :: !checks

@@ -8,6 +8,10 @@ type t = {
   var_cache : (int, int array) Hashtbl.t; (* var id -> bit literals *)
   taint_cache : (int, int array) Hashtbl.t; (* taint id -> bit literals *)
   gate_cache : (int, int) Hashtbl.t; (* packed gate key -> output literal *)
+  (* every cache insertion in order, as (table, key) pairs of ints, so
+     [truncate] can undo the ones made after a mark *)
+  mutable log : int array;
+  mutable log_len : int;
   (* term-level cache traffic, read by the solver's metrics flush *)
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -24,9 +28,41 @@ let create ectx sat =
     var_cache = Hashtbl.create 256;
     taint_cache = Hashtbl.create 64;
     gate_cache = Hashtbl.create 4096;
+    log = Array.make 1024 0;
+    log_len = 0;
     cache_hits = 0;
     cache_misses = 0;
   }
+
+(* the tables, as numbered in the log *)
+let expr_t = 0
+let var_t = 1
+let taint_t = 2
+let gate_t = 3
+
+let log_insert b table key =
+  if b.log_len + 2 > Array.length b.log then begin
+    let d = Array.make (2 * Array.length b.log) 0 in
+    Array.blit b.log 0 d 0 b.log_len;
+    b.log <- d
+  end;
+  Array.unsafe_set b.log b.log_len table;
+  Array.unsafe_set b.log (b.log_len + 1) key;
+  b.log_len <- b.log_len + 2
+
+type mark = int
+
+let mark b = b.log_len
+
+let truncate b m =
+  while b.log_len > m do
+    b.log_len <- b.log_len - 2;
+    let table = b.log.(b.log_len) and key = b.log.(b.log_len + 1) in
+    if table = expr_t then Hashtbl.remove b.expr_cache key
+    else if table = var_t then Hashtbl.remove b.var_cache key
+    else if table = taint_t then Hashtbl.remove b.taint_cache key
+    else Hashtbl.remove b.gate_cache key
+  done
 
 let lit_true b = b.tt
 let lit_false b = Sat.negate b.tt
@@ -61,6 +97,7 @@ let gate b key build =
     | None ->
         let l = build () in
         Hashtbl.add b.gate_cache key l;
+        log_insert b gate_t key;
         l
 
 let and2 b a c =
@@ -251,6 +288,7 @@ let rec bits b (e : Expr.t) =
       let ls = translate b e in
       assert (Array.length ls = e.Expr.width);
       Hashtbl.add b.expr_cache e.Expr.tag ls;
+      log_insert b expr_t e.Expr.tag;
       ls
 
 and fresh_bits b w = Array.init w (fun _ -> Sat.pos (Sat.new_var b.sat))
@@ -267,6 +305,7 @@ and translate b (e : Expr.t) =
       | None ->
           let ls = fresh_bits b v.vwidth in
           Hashtbl.add b.var_cache v.vid ls;
+          log_insert b var_t v.vid;
           ls)
   | Taint id -> (
       match Hashtbl.find_opt b.taint_cache id with
@@ -274,6 +313,7 @@ and translate b (e : Expr.t) =
       | None ->
           let ls = fresh_bits b e.width in
           Hashtbl.add b.taint_cache id ls;
+          log_insert b taint_t id;
           ls)
   | Not a -> Array.map Sat.negate (bits b a)
   | And (x, y) -> Array.map2 (and2 b) (bits b x) (bits b y)
@@ -315,6 +355,49 @@ let lit b e =
   if Array.length ls <> 1 then invalid_arg "Blast.lit: width-1 term expected";
   ls.(0)
 
+(* Asserting a width-1 term as clauses rather than as one Tseitin
+   root: a conjunction (And, a negated Or, an Eq taken bit by bit) is
+   split into its conjuncts, and a disjunction (Or, a negated And, a
+   negated Eq as its bit differences) becomes one clause whose
+   disjuncts are literals.  [pos] is the polarity a subterm is asserted
+   with.  Constant literals are left to [Sat.add_clause], which drops a
+   clause holding a true literal and removes false ones, so asserting
+   [key == 0x0800] adds one unit per bit and builds no gate. *)
+let clauses b e =
+  if Expr.width e <> 1 then invalid_arg "Blast.clauses: width-1 term expected";
+  let signed pos l = if pos then l else Sat.negate l in
+  let cs = ref [] in
+  let rec disj pos (e : Expr.t) ls =
+    match (e.Expr.node, pos) with
+    | Expr.Or (x, y), true | Expr.And (x, y), false -> disj pos y (disj pos x ls)
+    | Expr.Not x, _ -> disj (not pos) x ls
+    | Expr.Eq (x, y), false ->
+        let xs = bits b x in
+        let ys = bits b y in
+        let ls = ref ls in
+        Array.iteri (fun i xi -> ls := xor2 b xi ys.(i) :: !ls) xs;
+        !ls
+    | _ -> signed pos (lit b e) :: ls
+  in
+  let rec conj pos (e : Expr.t) =
+    match (e.Expr.node, pos) with
+    | Expr.And (x, y), true | Expr.Or (x, y), false ->
+        conj pos x;
+        conj pos y
+    | Expr.Not x, _ -> conj (not pos) x
+    | Expr.Eq (x, y), true ->
+        let xs = bits b x in
+        let ys = bits b y in
+        Array.iteri
+          (fun i xi -> cs := [ xi; Sat.negate ys.(i) ] :: [ Sat.negate xi; ys.(i) ] :: !cs)
+          xs
+    | Expr.Or _, true | Expr.And _, false | Expr.Eq _, false -> cs := disj pos e [] :: !cs
+    | _ -> cs := [ signed pos (lit b e) ] :: !cs
+  in
+  conj true e;
+  List.rev !cs
+
 let var_bits b (v : Expr.var) = Hashtbl.find_opt b.var_cache v.Expr.vid
 let taint_bits b id = Hashtbl.find_opt b.taint_cache id
+let leaves b = (Hashtbl.copy b.var_cache, Hashtbl.copy b.taint_cache)
 let cache_stats b = (b.cache_hits, b.cache_misses)

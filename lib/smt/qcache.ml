@@ -19,10 +19,10 @@
 
    Three caches exploit this:
 
-   1. a ring of captured models (from probe checks and emitted
-      tests).  Any frozen total assignment satisfying the whole slice
-      witnesses feasibility — provenance is irrelevant, so models
-      survive solver rebuilds;
+   1. a ring of captured models (from probe checks).  Any frozen
+      total assignment satisfying the whole slice witnesses
+      feasibility — provenance is irrelevant, so a model stays a
+      witness after its solver pops the scopes it was found under;
    2. a SAT-set cache: every successful probe check proves the digest
       set of path ∪ {c} simultaneously satisfiable; a later slice
       that is a *subset* of a cached SAT set is satisfiable with no

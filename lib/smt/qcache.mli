@@ -64,8 +64,8 @@ val note_unsat : t -> unit
     preceding {!check} as an UNSAT set. *)
 
 val note_model : t -> Solver.model option -> unit
-(** Harvest an extra witness assignment (e.g. the emission model of a
-    finished path) into the model ring. *)
+(** Harvest an extra witness assignment into the model ring
+    ({!note_sat} does this with the probe's model). *)
 
 val publish : t -> unit
 (** Fold this cache's digest sets into its [store], if any. *)

@@ -32,7 +32,14 @@
      level-0 units.  It is read only while its variable is assigned, so
      backtracking leaves stale reasons in place.
    - A model is copied into the target phases with one blit, and
-     snapshots hold one byte per variable. *)
+     snapshots hold one byte per variable.
+
+   Scopes: every attached clause, problem or learnt, is logged, so
+   [truncate] can take the solver back to an earlier (variable, clause)
+   mark.  Retired clauses are marked in place and their watchers are
+   dropped lazily, by [propagate], before a retired clause is used; the
+   truncated variables' slots are reset so [new_var] reuses them.  See
+   DESIGN.md ("Solver internals") for why what survives stays sound. *)
 
 (* a clause is its literal array; [propagate] reorders it in place so
    that the watched literals come first *)
@@ -41,6 +48,9 @@ type clause = int array
 (* the reason of a decision, an assumption or a level-0 unit; every
    real reason has at least one literal *)
 let no_reason : clause = [||]
+
+(* the first literal of a retired clause: no literal is negative *)
+let retired = -1
 
 (* Growable array *)
 module Vec = struct
@@ -116,6 +126,9 @@ type t = {
   trail : int Vec.t;
   trail_lim : int Vec.t;
   mutable qhead : int;
+  (* every attached clause, problem and learnt, in attachment order;
+     [truncate] retires a suffix *)
+  clauses : clause Vec.t;
   (* vars occurring in at least one clause; only these are decided —
      unconstrained variables may take any value, so leaving them
      unassigned is sound and keeps solves proportional to the active
@@ -168,6 +181,7 @@ let create () =
     trail = Vec.create 0;
     trail_lim = Vec.create 0;
     qhead = 0;
+    clauses = Vec.create no_reason;
     constrained = Array.make cap false;
     decisions = 0;
     propagations = 0;
@@ -187,6 +201,7 @@ let var_of l = l lsr 1
 let sign l = l land 1 = 1
 
 let nvars s = s.nvars
+let nclauses s = Vec.len s.clauses
 
 let counters s =
   {
@@ -260,6 +275,19 @@ let heap_remove_max s =
   top
 
 let heap_decrease s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
+
+(* removes [v], which is in the heap: the last element takes its place
+   and moves to where it belongs *)
+let heap_remove s v =
+  let i = s.heap_pos.(v) in
+  let last = Vec.pop s.heap in
+  s.heap_pos.(v) <- -1;
+  if last <> v then begin
+    Vec.set s.heap i last;
+    s.heap_pos.(last) <- i;
+    heap_down s i;
+    heap_up s s.heap_pos.(last)
+  end
 
 (* -------------------- variable management -------------------------- *)
 
@@ -342,6 +370,7 @@ let watch_in s table l c companion =
 let watch s l c blocker = watch_in s s.watches l c blocker
 
 let attach s c =
+  Vec.push s.clauses c;
   (* watch the negations of the first two literals; binary clauses go
      to the dedicated layer that stores the implied literal inline *)
   if Array.length c = 2 then begin
@@ -362,25 +391,36 @@ let propagate s =
       s.qhead <- s.qhead + 1;
       s.propagations <- s.propagations + 1;
       (* binary layer: one value read per clause, no clause access on
-         the common satisfied/undecided path *)
+         the common satisfied path; a retired clause's watcher is
+         swapped out for the list's last one before it is used *)
       let bw = Array.unsafe_get s.bin_watches p in
-      let bn = bw.Wl.len in
-      for i = 0 to bn - 1 do
-        let o = Array.unsafe_get bw.Wl.lit i in
+      let i = ref 0 in
+      while !i < bw.Wl.len do
+        let o = Array.unsafe_get bw.Wl.lit !i in
         let v = lit_val s o in
-        if v = 2 then begin
-          let c = Array.unsafe_get bw.Wl.cls i in
-          s.qhead <- Vec.len s.trail;
-          raise (Conflict c)
-        end
-        else if v = 0 then begin
-          let c = Array.unsafe_get bw.Wl.cls i in
-          (* conflict analysis expects the propagated literal first *)
-          if c.(0) <> o then begin
-            c.(0) <- o;
-            c.(1) <- negate p
-          end;
-          enqueue s o c
+        if v = 1 then incr i
+        else begin
+          let c = Array.unsafe_get bw.Wl.cls !i in
+          if Array.unsafe_get c 0 = retired then begin
+            let last = bw.Wl.len - 1 in
+            Array.unsafe_set bw.Wl.cls !i (Array.unsafe_get bw.Wl.cls last);
+            Array.unsafe_set bw.Wl.lit !i (Array.unsafe_get bw.Wl.lit last);
+            Array.unsafe_set bw.Wl.cls last no_reason;
+            bw.Wl.len <- last
+          end
+          else if v = 2 then begin
+            s.qhead <- Vec.len s.trail;
+            raise (Conflict c)
+          end
+          else begin
+            (* conflict analysis expects the propagated literal first *)
+            if c.(0) <> o then begin
+              c.(0) <- o;
+              c.(1) <- negate p
+            end;
+            enqueue s o c;
+            incr i
+          end
         end
       done;
       (* long clauses *)
@@ -401,51 +441,54 @@ let propagate s =
         else begin
           let c = Array.unsafe_get ws.Wl.cls !i in
           incr i;
-          (* make sure the false literal is c.(1) *)
-          let falsel = negate p in
-          if c.(0) = falsel then begin
-            c.(0) <- c.(1);
-            c.(1) <- falsel
-          end;
-          let first = c.(0) in
-          if first <> blocker && lit_val s first = 1 then begin
-            (* clause satisfied; keep watch, remember the witness *)
-            Array.unsafe_set ws.Wl.cls !j c;
-            Array.unsafe_set ws.Wl.lit !j first;
-            incr j
-          end
-          else begin
-            (* look for a new literal to watch *)
-            let len = Array.length c in
-            let k = ref 2 in
-            let found = ref false in
-            while (not !found) && !k < len do
-              if lit_val s c.(!k) <> 2 then begin
-                c.(1) <- c.(!k);
-                c.(!k) <- falsel;
-                watch s (negate c.(1)) c first;
-                found := true
-              end;
-              incr k
-            done;
-            if not !found then begin
-              (* unit or conflicting *)
+          (* a retired clause loses its watcher: it is not copied back *)
+          if Array.unsafe_get c 0 <> retired then begin
+            (* make sure the false literal is c.(1) *)
+            let falsel = negate p in
+            if c.(0) = falsel then begin
+              c.(0) <- c.(1);
+              c.(1) <- falsel
+            end;
+            let first = c.(0) in
+            if first <> blocker && lit_val s first = 1 then begin
+              (* clause satisfied; keep watch, remember the witness *)
               Array.unsafe_set ws.Wl.cls !j c;
               Array.unsafe_set ws.Wl.lit !j first;
-              incr j;
-              if lit_val s first = 2 then begin
-                (* conflict: copy remaining watches and raise *)
-                while !i < n do
-                  Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
-                  Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
-                  incr i;
-                  incr j
-                done;
-                ws.Wl.len <- !j;
-                s.qhead <- Vec.len s.trail;
-                raise (Conflict c)
+              incr j
+            end
+            else begin
+              (* look for a new literal to watch *)
+              let len = Array.length c in
+              let k = ref 2 in
+              let found = ref false in
+              while (not !found) && !k < len do
+                if lit_val s c.(!k) <> 2 then begin
+                  c.(1) <- c.(!k);
+                  c.(!k) <- falsel;
+                  watch s (negate c.(1)) c first;
+                  found := true
+                end;
+                incr k
+              done;
+              if not !found then begin
+                (* unit or conflicting *)
+                Array.unsafe_set ws.Wl.cls !j c;
+                Array.unsafe_set ws.Wl.lit !j first;
+                incr j;
+                if lit_val s first = 2 then begin
+                  (* conflict: copy remaining watches and raise *)
+                  while !i < n do
+                    Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
+                    Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
+                    incr i;
+                    incr j
+                  done;
+                  ws.Wl.len <- !j;
+                  s.qhead <- Vec.len s.trail;
+                  raise (Conflict c)
+                end
+                else enqueue s first c
               end
-              else enqueue s first c
             end
           end
         end
@@ -758,6 +801,48 @@ let set_polarity s v b =
   end
 
 let backtrack s = cancel_until s 0
+
+(* Back to the mark [(nvars, nclauses)]: every clause attached after it
+   is retired in place (its watchers go when [propagate] next meets
+   them), and every variable from [nvars] on leaves the level-0 trail
+   and the decision heap, with its slots and watch lists reset for
+   [new_var] to reuse.  The surviving level-0 assignments stay: they
+   are implied by the surviving clauses (DESIGN.md, "Solver
+   internals"). *)
+let truncate s ~nvars ~nclauses =
+  cancel_until s 0;
+  for i = nclauses to Vec.len s.clauses - 1 do
+    (Vec.get s.clauses i).(0) <- retired;
+    Vec.set s.clauses i no_reason
+  done;
+  Vec.shrink s.clauses nclauses;
+  if nvars < s.nvars then begin
+    let j = ref 0 in
+    for i = 0 to Vec.len s.trail - 1 do
+      let l = Vec.get s.trail i in
+      if var_of l < nvars then begin
+        Vec.set s.trail !j l;
+        incr j
+      end
+    done;
+    Vec.shrink s.trail !j;
+    s.qhead <- !j;
+    for v = nvars to s.nvars - 1 do
+      if s.heap_pos.(v) >= 0 then heap_remove s v;
+      s.assign.(v) <- 0;
+      s.level.(v) <- 0;
+      s.reason.(v) <- no_reason;
+      s.activity.(v) <- 0.0;
+      s.polarity.(v) <- false;
+      s.target.(v) <- 0;
+      s.constrained.(v) <- false;
+      s.watches.(pos v) <- s.empty;
+      s.watches.(neg v) <- s.empty;
+      s.bin_watches.(pos v) <- s.empty;
+      s.bin_watches.(neg v) <- s.empty
+    done;
+    s.nvars <- nvars
+  end
 
 let snapshot s =
   let b = Bytes.create s.nvars in

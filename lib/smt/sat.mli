@@ -5,7 +5,7 @@
     100 conflicts, solving under assumptions, a conflict budget per
     solve).
 
-    Learnt clauses are kept for the solver's lifetime: the path
+    Learnt clauses are kept until {!truncate} retires them: the path
     constraints of test generation are easy (at most about a hundred
     conflicts per solve on the measured workloads), and the budget
     bounds the rare hard one.
@@ -22,6 +22,11 @@ val new_var : t -> int
 (** Allocates a variable and returns its index. *)
 
 val nvars : t -> int
+
+val nclauses : t -> int
+(** Clauses attached so far, problem and learnt, minus those
+    {!truncate} retired.  Unit clauses are not attached: they are
+    level-0 assignments. *)
 
 val pos : int -> int
 (** [pos v] is variable [v]'s positive literal. *)
@@ -59,6 +64,18 @@ val backtrack : t -> unit
 (** Undoes all decisions, returning to level 0.  Must be called before
     {!add_clause} if a {!solve} has run since the last clause was
     added.  Invalidate any model read so far. *)
+
+val truncate : t -> nvars:int -> nclauses:int -> unit
+(** [truncate s ~nvars ~nclauses] takes the solver back to a mark read
+    from {!nvars} and {!nclauses} earlier: it backtracks to level 0,
+    retires every clause attached since, and frees every variable
+    allocated since, whose numbers {!new_var} then hands out again.
+    Afterwards [nvars s = nvars] and [nclauses s = nclauses].
+
+    Sound when what was added since the mark is a conservative
+    extension of what was there (definitions of fresh variables,
+    clauses guarded by a fresh literal, learnt clauses): the level-0
+    assignments kept are then implied by the clauses kept. *)
 
 val snapshot : t -> Bytes.t
 (** Copy of the current assignment, one byte per variable: code 0

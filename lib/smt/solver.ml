@@ -9,6 +9,7 @@ type metrics = {
   m_checks : Obs.Counter.t;
   m_time : Obs.Timer.t;
   m_depth_hw : Obs.Gauge.t;
+  m_vars_hw : Obs.Gauge.t;
   m_decisions : Obs.Counter.t;
   m_propagations : Obs.Counter.t;
   m_conflicts : Obs.Counter.t;
@@ -19,26 +20,32 @@ type metrics = {
   m_cache_hits : Obs.Counter.t;
   m_cache_misses : Obs.Counter.t;
   m_rewrite_hits : Obs.Counter.t;
-  (* last-flushed readings, so deltas accumulate correctly even when
-     several solvers (e.g. across rebuilds) share one registry *)
+  (* last-flushed readings, so deltas accumulate correctly when
+     several solvers share one registry *)
   mutable m_last_sat : Sat.counters;
   mutable m_last_hits : int;
   mutable m_last_misses : int;
   mutable m_last_rewrites : int;
 }
 
+(* a scope: its activation literal, and the mark its pop goes back
+   to, the SAT core's variables and clauses and the blaster's caches
+   just before that literal's variable was allocated *)
+type scope = { guard : int; k_vars : int; k_clauses : int; k_blast : Blast.mark }
+
 type t = {
   ectx : Expr.ctx;
   sat : Sat.t;
   blast : Blast.t;
   metrics : metrics;
-  mutable scopes : int list; (* activation literals, innermost first *)
+  mutable scopes : scope list; (* innermost first *)
   (* snapshot of the SAT assignment after the last Sat answer; models
      are read from here so they survive backtracking, and branch
      conditions already true under it skip the solver entirely.  One
-     byte per SAT variable ({!Sat.snapshot}).  Each Sat answer replaces
-     it with a fresh one and nothing ever writes into it, so captured
-     models share it instead of copying it. *)
+     byte per SAT variable ({!Sat.snapshot}), dropped on pop so a
+     reused variable never reads a popped scope's value.  Each Sat
+     answer replaces it with a fresh one and nothing ever writes into
+     it, so captured models share it instead of copying it. *)
   mutable model_snap : Bytes.t;
   (* per-variable suggested values for free inputs; consulted when the
      SAT core left the bit unassigned (unconstrained vars are no longer
@@ -53,6 +60,7 @@ let make_metrics obs ectx sat =
     m_checks = c "solver.checks";
     m_time = t "solver.time";
     m_depth_hw = Obs.Registry.gauge obs "solver.scope_depth_hw";
+    m_vars_hw = Obs.Registry.gauge obs "solver.vars_hw";
     m_decisions = c "sat.decisions";
     m_propagations = c "sat.propagations";
     m_conflicts = c "sat.conflicts";
@@ -66,8 +74,8 @@ let make_metrics obs ectx sat =
     m_last_sat = Sat.counters sat;
     m_last_hits = 0;
     m_last_misses = 0;
-    (* the term context may predate this solver (rebuilds): report only
-       rewrites performed from now on *)
+    (* the term context may predate this solver: report only rewrites
+       performed from now on *)
     m_last_rewrites = Expr.rewrite_hits ectx;
   }
 
@@ -99,6 +107,7 @@ let flush_stats s =
   Obs.Counter.add m.m_minimised_literals
     (c.Sat.c_minimised_literals - last.Sat.c_minimised_literals);
   m.m_last_sat <- c;
+  Obs.Gauge.set_max m.m_vars_hw (Sat.nvars s.sat);
   let hits, misses = Blast.cache_stats s.blast in
   Obs.Counter.add m.m_cache_hits (hits - m.m_last_hits);
   Obs.Counter.add m.m_cache_misses (misses - m.m_last_misses);
@@ -108,20 +117,30 @@ let flush_stats s =
   Obs.Counter.add m.m_rewrite_hits (rw - m.m_last_rewrites);
   m.m_last_rewrites <- rw
 
+(* A scope owns everything created under it: the mark is read before
+   its activation variable exists, and [pop] truncates the SAT core and
+   the blaster back to it, so a solver holds only its live scopes *)
 let push s =
   Sat.backtrack s.sat;
-  let g = Sat.pos (Sat.new_var s.sat) in
-  s.scopes <- g :: s.scopes;
+  let k_vars = Sat.nvars s.sat and k_clauses = Sat.nclauses s.sat in
+  let k_blast = Blast.mark s.blast in
+  let guard = Sat.pos (Sat.new_var s.sat) in
+  s.scopes <- { guard; k_vars; k_clauses; k_blast } :: s.scopes;
   Obs.Gauge.set_max s.metrics.m_depth_hw (List.length s.scopes)
 
 let pop s =
   match s.scopes with
   | [] -> invalid_arg "Solver.pop: no scope to pop"
-  | g :: rest ->
-      Sat.backtrack s.sat;
-      (* permanently disable the scope's assertions *)
-      Sat.add_clause s.sat [ Sat.negate g ];
+  | k :: rest ->
+      Obs.Gauge.set_max s.metrics.m_vars_hw (Sat.nvars s.sat);
+      Sat.truncate s.sat ~nvars:k.k_vars ~nclauses:k.k_clauses;
+      Blast.truncate s.blast k.k_blast;
+      s.model_snap <- Bytes.empty;
       s.scopes <- rest
+
+(* the activation literals of the open scopes, innermost first: every
+   check assumes them *)
+let guards s = List.map (fun k -> k.guard) s.scopes
 
 let ctx s = s.ectx
 
@@ -131,11 +150,12 @@ let assert_ s e =
     invalid_arg "Solver.assert_: term from a different Expr context";
   Sat.backtrack s.sat;
   (* word-level rewrite at assert time: what the pass discharges never
-     reaches the CNF layer *)
-  let l = Blast.lit s.blast (Expr.simplify e) in
+     reaches the CNF layer; the rest becomes clauses, each guarded by
+     the innermost scope's activation literal *)
+  let cs = Blast.clauses s.blast (Expr.simplify e) in
   match s.scopes with
-  | [] -> Sat.add_clause s.sat [ l ]
-  | g :: _ -> Sat.add_clause s.sat [ Sat.negate g; l ]
+  | [] -> List.iter (Sat.add_clause s.sat) cs
+  | k :: _ -> List.iter (fun c -> Sat.add_clause s.sat (Sat.negate k.guard :: c)) cs
 
 (* a check cut by the SAT core's conflict budget still counts: its
    time and counters are recorded before [Sat.Budget_exhausted]
@@ -156,7 +176,7 @@ let run s assumptions =
   end
   else Unsat
 
-let check s = run s s.scopes
+let check s = run s (guards s)
 
 let check_assuming s es =
   Sat.backtrack s.sat;
@@ -168,22 +188,24 @@ let check_assuming s es =
         Blast.lit s.blast (Expr.simplify e))
       es
   in
-  run s (s.scopes @ ls)
+  run s (guards s @ ls)
 
 let suggest s e (b : Bits.t) =
-  (* record the preferred value, materialize the variable's bits
-     (fresh SAT vars, no clauses), and set branching polarity for the
-     bits the solver does decide *)
-  (match e.Expr.node with
-  | Expr.Var v -> Hashtbl.replace s.suggestions v.Expr.vid b
-  | _ -> ());
-  let ls = Blast.bits s.blast e in
-  Array.iteri
-    (fun i l ->
-      if l land 1 = 0 (* positive literal: polarity = bit value *) then
-        Sat.set_polarity s.sat (l lsr 1) (Bits.get b i)
-      else Sat.set_polarity s.sat (l lsr 1) (not (Bits.get b i)))
-    ls
+  (* record the preferred value, and set branching polarity for the
+     bits already blasted; a bit no clause mentions yet gets no SAT
+     variable, and [model_var] reads it from the recorded value *)
+  match e.Expr.node with
+  | Expr.Var v -> (
+      Hashtbl.replace s.suggestions v.Expr.vid b;
+      match Blast.var_bits s.blast v with
+      | Some ls ->
+          Array.iteri
+            (fun i l ->
+              (* positive literal: polarity = bit value *)
+              Sat.set_polarity s.sat (l lsr 1) (Bits.get b i = (l land 1 = 0)))
+            ls
+      | None -> ())
+  | _ -> ()
 
 (* literal value under a snapshot: 1 true, 2 false, 0 unassigned *)
 let snap_raw snap l =
@@ -233,36 +255,45 @@ let holds s e =
 
    A [model] freezes the last satisfying assignment: the snapshot
    bytes (shared with the solver, which replaces rather than mutates
-   them) plus the blast that maps terms to SAT literals at capture
-   time.  Bits the snapshot leaves unassigned — and any
-   variable blasted only after the capture (its literals index past
-   the frozen snapshot) — read as zero, which is a sound extension:
-   an unconstrained bit can take any value, and the zero default makes
-   the assignment a fixed total function for all time.  Evaluation
-   only performs read-only blast lookups ([var_bits]/[taint_bits]),
-   never blasting, so a captured model never changes its solver. *)
+   them) plus copies of the blaster's variable and taint tables at
+   capture time.  The copies matter: a pop frees variable numbers that
+   later terms reuse, so the live tables would map a variable to
+   literals the snapshot knows under another meaning.  Bits the
+   snapshot leaves unassigned, and variables not blasted at capture,
+   read as zero, which is a sound extension: an unconstrained bit can
+   take any value, and the zero default makes the assignment a fixed
+   total function for all time.  Evaluation only reads the copies, so
+   a captured model never changes its solver. *)
 
-type model = { m_snap : Bytes.t; m_blast : Blast.t }
+type model = {
+  m_snap : Bytes.t;
+  m_vars : (int, int array) Hashtbl.t;
+  m_taints : (int, int array) Hashtbl.t;
+}
 
 let capture_model s =
   if Bytes.length s.model_snap = 0 then None
-  else Some { m_snap = s.model_snap; m_blast = s.blast }
+  else
+    let m_vars, m_taints = Blast.leaves s.blast in
+    Some { m_snap = s.model_snap; m_vars; m_taints }
 
 let frozen_eval m e =
   Expr.eval
     ~taint:(fun id w ->
-      match Blast.taint_bits m.m_blast id with
+      match Hashtbl.find_opt m.m_taints id with
       | Some ls -> bits_of_lits m.m_snap ls
       | None -> Bits.zero w)
     (fun v ->
-      match Blast.var_bits m.m_blast v with
+      match Hashtbl.find_opt m.m_vars v.Expr.vid with
       | Some ls -> bits_of_lits m.m_snap ls
       | None -> Bits.zero v.Expr.vwidth)
     e
 
 let model_holds m e = Bits.is_ones (frozen_eval m e)
 
-(* one snapshot byte per SAT variable plus a fixed overhead for the
-   record/blast pointer; used only for the qcache.bytes gauge,
-   precision is not needed *)
-let model_bytes m = Bytes.length m.m_snap + 64
+(* one snapshot byte per SAT variable, a word per literal and a few per
+   entry of the copied tables, and a fixed overhead for the record;
+   used only for the qcache.bytes gauge, precision is not needed *)
+let model_bytes m =
+  let table t = Hashtbl.fold (fun _ ls acc -> acc + (8 * (Array.length ls + 4))) t 0 in
+  Bytes.length m.m_snap + table m.m_vars + table m.m_taints + 64

@@ -209,40 +209,8 @@ let test_seed_changes_values_not_paths () =
   in
   Alcotest.(check bool) "different random choices" true (ports r1 <> ports r2)
 
-let test_rebuild_threshold () =
-  (* force a solver rebuild on nearly every path by making the term
-     threshold tiny; results must not change, and no solver time may be
-     lost across the swaps *)
-  let config =
-    { Explore.default_config with Explore.rebuild_size_threshold = 1 }
-  in
-  let forced = generate ~config Progzoo.Corpus.lpm_router in
-  let normal = generate Progzoo.Corpus.lpm_router in
-  let snap run = Obs.Registry.snapshot (Oracle.registry run) in
-  Alcotest.(check bool) "rebuilds happened" true
-    (Obs.Snapshot.get_int (snap forced) "solver.rebuilds" > 0);
-  Alcotest.(check int) "default config never rebuilds here" 0
-    (Obs.Snapshot.get_int (snap normal) "solver.rebuilds");
-  (* a fresh solver may complete don't-care bits differently, but the
-     path space and coverage are solver-state independent *)
-  let paths run =
-    List.map (fun (t : Testspec.t) -> t.comment) run.Oracle.result.Explore.tests
-  in
-  Alcotest.(check (list string)) "identical paths" (paths normal) (paths forced);
-  Alcotest.(check bool) "identical coverage" true
-    (Testgen.Runtime.IntSet.equal normal.Oracle.result.Explore.covered
-       forced.Oracle.result.Explore.covered);
-  (* the lost-time regression: solve_time aggregates over every solver
-     of the run, so emission's solver share can never exceed it *)
-  let r = forced.Oracle.result in
-  Alcotest.(check bool) "solver time survives rebuilds" true
-    (r.Explore.solve_time >= r.Explore.stats.Explore.t_emit_solve
-    && r.Explore.stats.Explore.t_emit_solve >= 0.0
-    && r.Explore.solve_time > 0.0)
-
 (* middleblock with 8 ACL stages opens up to 16 scopes along its DFS
-   spine, so a rebuild rule gated on a shallow spine almost never
-   fires there *)
+   spine *)
 let mb8_cap400 ?(config = Explore.default_config) () =
   generate
     ~config:{ config with Explore.max_tests = Some 400 }
@@ -250,56 +218,13 @@ let mb8_cap400 ?(config = Explore.default_config) () =
 
 let mb8_default = lazy (mb8_cap400 ())
 
-let rebuilds run =
-  Obs.Snapshot.get_int run.Oracle.result.Explore.obs "solver.rebuilds"
-
-let test_rebuild_deep_spine () =
-  let n = rebuilds (Lazy.force mb8_default) in
-  Alcotest.(check bool) (Printf.sprintf "%d rebuilds >= 10" n) true (n >= 10)
-
-let test_rebuild_no_thrash () =
-  (* with every solver past the threshold, only the doubling rule
-     limits rebuilds: a deep spine's live part alone would otherwise
-     trigger one after every pop *)
-  let normal = Lazy.force mb8_default in
-  let forced =
-    mb8_cap400
-      ~config:{ Explore.default_config with Explore.rebuild_size_threshold = 1 }
-      ()
-  in
-  let n = rebuilds forced in
-  Alcotest.(check bool) (Printf.sprintf "%d rebuilds < 100" n) true (n < 100);
-  let shape run =
-    List.map
-      (fun (t : Testspec.t) -> (t.comment, t.covered))
-      run.Oracle.result.Explore.tests
-  in
-  Alcotest.(check int) "same test count"
-    (List.length normal.Oracle.result.Explore.tests)
-    (List.length forced.Oracle.result.Explore.tests);
-  Alcotest.(check bool) "same comments and per-test coverage" true
-    (shape normal = shape forced);
-  Alcotest.(check bool) "same coverage" true
-    (Testgen.Runtime.IntSet.equal normal.Oracle.result.Explore.covered
-       forced.Oracle.result.Explore.covered)
-
 (* Without the query cache every branch is decided by the probe (or
-   its last model), and a threshold of 1 rebuilds it from its prefix of
-   the spine at nearly every level: the probe is synced before each
-   check and trimmed on each pop.  Its verdicts must still give the
-   default run's tree. *)
+   its last model): the probe is synced before each check and trimmed
+   on each pop, so its scopes are pushed and popped at every level of
+   the spine.  Its verdicts must still give the default run's tree. *)
 let test_probe_prefix () =
   let normal = Lazy.force mb8_default in
-  let probed =
-    mb8_cap400
-      ~config:
-        {
-          Explore.default_config with
-          Explore.query_cache = false;
-          rebuild_size_threshold = 1;
-        }
-      ()
-  in
+  let probed = mb8_cap400 ~config:{ Explore.default_config with Explore.query_cache = false } () in
   let shape run =
     List.map
       (fun (t : Testspec.t) -> (t.comment, t.covered))
@@ -311,10 +236,27 @@ let test_probe_prefix () =
     (List.length probed.Oracle.result.Explore.tests);
   Alcotest.(check bool) "same comments and per-test coverage" true
     (shape normal = shape probed);
+  Alcotest.(check bool) "same coverage" true
+    (Testgen.Runtime.IntSet.equal normal.Oracle.result.Explore.covered
+       probed.Oracle.result.Explore.covered);
   Alcotest.(check int) "same infeasible branches" (stat normal).Explore.infeasible
     (stat probed).Explore.infeasible;
-  Alcotest.(check int) "no path lost to concolic" 0 (stat probed).Explore.discarded_concolic;
-  Alcotest.(check bool) "the probe was rebuilt" true (rebuilds probed > rebuilds normal)
+  Alcotest.(check int) "no path lost to concolic" 0 (stat probed).Explore.discarded_concolic
+
+(* A pop frees what its scope added, so each solver holds only the
+   live spine.  When pops only disabled their scopes, a solver of this
+   run reached 4,116 SAT variables (and was rebuilt from the spine). *)
+let test_live_spine () =
+  let n = Obs.Snapshot.get_int (Lazy.force mb8_default).Oracle.result.Explore.obs "solver.vars_hw" in
+  Alcotest.(check bool) (Printf.sprintf "%d SAT variables < 2000" n) true (n > 0 && n < 2000)
+
+(* solve_time aggregates over both solvers of the run, so emission's
+   solver share can never exceed it *)
+let test_solve_time () =
+  let r = (Lazy.force mb8_default).Oracle.result in
+  Alcotest.(check bool) "solve time covers emission's" true
+    (r.Explore.solve_time >= r.Explore.stats.Explore.t_emit_solve
+    && r.Explore.stats.Explore.t_emit_solve > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* The driver: direct calls, deadlines, callback exceptions *)
@@ -360,10 +302,7 @@ let test_ledger_partition () =
     (generate (Progzoo.Generators.middleblock ~acl_stages:2 ())).Oracle.result
   in
   let f = Obs.Snapshot.get_float r.Explore.obs in
-  let named =
-    f "explore.t_step" +. f "explore.t_emit" +. f "explore.t_branch"
-    +. f "explore.t_rebuild"
-  in
+  let named = f "explore.t_step" +. f "explore.t_emit" +. f "explore.t_branch" in
   let total = f "explore.total_time" in
   Alcotest.(check bool)
     (Printf.sprintf "named timers %.3fs of %.3fs" named total)
@@ -441,12 +380,9 @@ let () =
           Alcotest.test_case "recirculation" `Quick test_recirculation_bounded;
           Alcotest.test_case "unroll depth" `Quick test_unroll_bound_controls_depth;
           Alcotest.test_case "seed variation" `Quick test_seed_changes_values_not_paths;
-          Alcotest.test_case "solver rebuild threshold" `Quick test_rebuild_threshold;
-          Alcotest.test_case "rebuilds below depth 8" `Quick test_rebuild_deep_spine;
-          Alcotest.test_case "probe synced, trimmed and rebuilt from its prefix" `Quick
-            test_probe_prefix;
-          Alcotest.test_case "rebuild rule does not thrash" `Quick
-            test_rebuild_no_thrash;
+          Alcotest.test_case "probe synced and trimmed" `Quick test_probe_prefix;
+          Alcotest.test_case "solver holds its live spine" `Quick test_live_spine;
+          Alcotest.test_case "solve time covers emission" `Quick test_solve_time;
         ] );
       ( "driver",
         [

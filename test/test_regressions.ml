@@ -131,12 +131,12 @@ let contract_programs () =
   let mb a = Progzoo.Generators.middleblock ~acl_stages:a () in
   let sw s = Progzoo.Generators.switch_tna ~stages:s () in
   [
-    ("middleblock_2acl_cap400", "v1model", mb 2, Some 400, "ef4147ce2a5d44be903d6c93465716e7");
-    ("middleblock_8acl_cap400", "v1model", mb 8, Some 400, "eadc136e9e1d29d3d74a2f60904fa7b8");
-    ("middleblock_2acl_full", "v1model", mb 2, None, "ecc31310a6e3d618c6705fc2426365b3");
-    ("switch4_tna_cap400", "tna", sw 4, Some 400, "7b6bee0095357f6704d7fe4e69318b55");
-    ("switch8_tna_cap400", "tna", sw 8, Some 400, "7dc01a4a6fe15367652ec30b8cdb0fe8");
-    ("up4_full", "v1model", Progzoo.Generators.up4 (), None, "5202e6aab2dfe9875b61cd1b944abe62");
+    ("middleblock_2acl_cap400", "v1model", mb 2, Some 400, "e42c611a462a58a62bf13ea6cb5d88d6");
+    ("middleblock_8acl_cap400", "v1model", mb 8, Some 400, "f12ea46b53fb20333b5304fb080be464");
+    ("middleblock_2acl_full", "v1model", mb 2, None, "b9e4bcf19aa9ced240a423c9cec7ce35");
+    ("switch4_tna_cap400", "tna", sw 4, Some 400, "7054663288fe9a6b84e8041120d1068a");
+    ("switch8_tna_cap400", "tna", sw 8, Some 400, "f63f1248acbb8b15a1473e7d24663403");
+    ("up4_full", "v1model", Progzoo.Generators.up4 (), None, "9552e8cb8de9e44ba2463832d8009c96");
   ]
 
 let test_suite_contract () =

@@ -363,6 +363,106 @@ let test_budget () =
   Alcotest.(check bool) "easy query sat" true (Sat.solve ~assumptions:[ Sat.neg g ] s);
   Alcotest.(check bool) "model honours the new clause" true (Sat.value s x)
 
+(* Scopes the way the term-level solver uses them: a scope marks the
+   solver's variable and clause counts, allocates an activation
+   variable [g], and adds clauses guarded by [¬g] over old and fresh
+   variables, plus definitions [f <-> a ∧ b] of fresh variables over
+   live ones.  Solves assume every open scope's [g], innermost first,
+   sometimes with extra assumption literals; a pop truncates to the
+   scope's mark.  Each verdict must match the reference on the clauses
+   that survive, each model must satisfy them, and every truncation
+   must land exactly on its mark. *)
+type scope = {
+  sc_vars : int;
+  sc_clauses : int;
+  sc_guard : int;
+  mutable sc_cnf : int list list;  (* what the scope added, guarded *)
+}
+
+let test_scoped_truncation () =
+  let st = Random.State.make [| 0x7c0de |] in
+  let sat_n = ref 0 and unsat_n = ref 0 and truncations = ref 0 and reused = ref 0 in
+  let conflicts = ref 0 and learnt = ref 0 in
+  for stream = 1 to 200 do
+    let s = Sat.create () in
+    let base_vars = 4 + Random.State.int st 4 in
+    for _ = 1 to base_vars do
+      ignore (Sat.new_var s)
+    done;
+    let base = List.init (Random.State.int st (2 * base_vars)) (fun _ -> random_clause st base_vars) in
+    List.iter (Sat.add_clause s) base;
+    let scopes = ref [] in
+    let high = ref (Sat.nvars s) in
+    let live_cnf () = base @ List.concat_map (fun sc -> sc.sc_cnf) !scopes in
+    let lit_over n = if Random.State.bool st then Sat.pos (Random.State.int st n) else Sat.neg (Random.State.int st n) in
+    let add sc c =
+      Sat.backtrack s;
+      Sat.add_clause s c;
+      sc.sc_cnf <- c :: sc.sc_cnf
+    in
+    let fresh () =
+      let v = Sat.new_var s in
+      if v < !high then incr reused;
+      high := max !high (v + 1);
+      v
+    in
+    for step = 1 to 40 do
+      match (Random.State.int st 10, !scopes) with
+      | (0 | 1 | 2), _ when Sat.nvars s < 16 ->
+          Sat.backtrack s;
+          let sc_vars = Sat.nvars s and sc_clauses = Sat.nclauses s in
+          let g = fresh () in
+          scopes := { sc_vars; sc_clauses; sc_guard = g; sc_cnf = [] } :: !scopes
+      | (3 | 4), sc :: rest ->
+          Sat.truncate s ~nvars:sc.sc_vars ~nclauses:sc.sc_clauses;
+          incr truncations;
+          if Sat.nvars s <> sc.sc_vars || Sat.nclauses s <> sc.sc_clauses then
+            Alcotest.failf "stream %d, step %d: truncated to %d vars / %d clauses, mark %d / %d"
+              stream step (Sat.nvars s) (Sat.nclauses s) sc.sc_vars sc.sc_clauses;
+          scopes := rest
+      | (5 | 6), sc :: _ ->
+          (* guarded clauses over old and, sometimes, fresh variables *)
+          for _ = 0 to 2 + Random.State.int st 6 do
+            let n = Sat.nvars s in
+            let extra = if Random.State.int st 3 = 0 && n < 20 then [ Sat.pos (fresh ()) ] else [] in
+            let c = random_clause st n in
+            add sc ((Sat.neg sc.sc_guard :: extra) @ c)
+          done
+      | 7, sc :: _ when Sat.nvars s < 20 ->
+          (* a Tseitin definition of a fresh variable: unguarded *)
+          let n = Sat.nvars s in
+          let a = lit_over n and b = lit_over n in
+          let f = fresh () in
+          add sc [ Sat.neg f; a ];
+          add sc [ Sat.neg f; b ];
+          add sc [ Sat.pos f; Sat.negate a; Sat.negate b ]
+      | _ ->
+          let n = Sat.nvars s in
+          let extra = List.init (Random.State.int st 3) (fun _ -> lit_over n) in
+          let assumptions = List.map (fun sc -> Sat.pos sc.sc_guard) !scopes @ extra in
+          let cnf = live_cnf () in
+          let expected = Dpll.solve ~nvars:n (List.map (fun l -> [ l ]) assumptions @ cnf) in
+          Sat.backtrack s;
+          let got = Sat.solve ~assumptions s in
+          incr (if got then sat_n else unsat_n);
+          if got <> expected then
+            Alcotest.failf "stream %d, step %d (%d vars, depth %d): cdcl=%b dpll=%b" stream step n
+              (List.length !scopes) got expected;
+          if got && not (model_satisfies_nontrivial s cnf && List.for_all (Sat.lit_value s) assumptions)
+          then Alcotest.failf "stream %d, step %d: model violates a surviving clause" stream step
+    done;
+    let c = Sat.counters s in
+    conflicts := !conflicts + c.Sat.c_conflicts;
+    learnt := !learnt + c.Sat.c_learnt_clauses
+  done;
+  (* the stream must exercise what truncation has to survive *)
+  Alcotest.(check bool) (Printf.sprintf "%d sat verdicts" !sat_n) true (!sat_n > 500);
+  Alcotest.(check bool) (Printf.sprintf "%d unsat verdicts" !unsat_n) true (!unsat_n > 200);
+  Alcotest.(check bool) (Printf.sprintf "%d truncations" !truncations) true (!truncations > 500);
+  Alcotest.(check bool) (Printf.sprintf "%d variables reused" !reused) true (!reused > 500);
+  Alcotest.(check bool) (Printf.sprintf "%d conflicts" !conflicts) true (!conflicts > 200);
+  Alcotest.(check bool) (Printf.sprintf "%d learnt clauses" !learnt) true (!learnt > 50)
+
 let () =
   Alcotest.run "sat"
     [
@@ -379,4 +479,5 @@ let () =
           Alcotest.test_case "pigeonhole-reduces" `Quick test_pigeonhole;
         ] );
       ("budget", [ Alcotest.test_case "php-10-9-gives-up" `Quick test_budget ]);
+      ("scopes", [ Alcotest.test_case "truncation-vs-dpll" `Quick test_scoped_truncation ]);
     ]

@@ -309,6 +309,57 @@ let test_campaign_metrics_merge () =
     (Obs.Snapshot.counters s1.Campaign.s_obs)
     (Obs.Snapshot.counters s2.Campaign.s_obs)
 
+(* Every path of this program ends with a random egress port, so every
+   path is dropped for taint and none is a test: [max_tests] alone never
+   stops a run.  Twelve independent branches give it 16,384 paths. *)
+let all_tainted =
+  let fields = List.init 12 (fun k -> Printf.sprintf "bit<8> f%d;" k) in
+  let branches =
+    List.init 12 (fun k -> Printf.sprintf "    if (hdr.h.f%d == %d) { hdr.h.f%d = 0; }" k (k + 1) k)
+  in
+  Printf.sprintf
+    {|
+header h_t { %s }
+struct headers_t { h_t h; }
+struct meta_t { bit<9> p; }
+parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
+         inout standard_metadata_t sm) {
+  state start { pkt.extract(hdr.h); transition accept; }
+}
+control V(inout headers_t hdr, inout meta_t m) { apply { } }
+control I(inout headers_t hdr, inout meta_t m,
+          inout standard_metadata_t sm) {
+  apply {
+%s
+    random(m.p, 0, 511);
+    sm.egress_spec = m.p;
+  }
+}
+control E(inout headers_t hdr, inout meta_t m,
+          inout standard_metadata_t sm) { apply { } }
+control C(inout headers_t hdr, inout meta_t m) { apply { } }
+control D(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.h); } }
+V1Switch(P(), V(), I(), E(), C(), D()) main;
+|}
+    (String.concat " " fields) (String.concat "\n" branches)
+
+(* case 0 runs every invariant: the seed-determinism pair and the Rnd
+   and Dfs strategy runs.  Each must stop at the campaign's 384-path
+   cap instead of walking all 16,384 paths. *)
+let test_invariants_capped () =
+  let obs = Obs.Registry.create () in
+  let verdict =
+    Campaign.check_invariants ~obs ~arch:"v1model" ~seed:1 ~max_tests:12 ~seq_packets:1 ~i:0
+      all_tainted
+  in
+  Alcotest.(check (option (pair string string))) "invariants hold" None verdict;
+  let d = Obs.Registry.snapshot obs in
+  let paths = Obs.Snapshot.get_int d "explore.paths" in
+  Alcotest.(check int) "every path dropped for taint" paths
+    (Obs.Snapshot.get_int d "explore.discarded_taint");
+  Alcotest.(check bool) (Printf.sprintf "%d paths over four runs <= 4 x 384" paths) true
+    (paths > 0 && paths <= 4 * 384)
+
 let () =
   Alcotest.run "selftest"
     [
@@ -334,5 +385,6 @@ let () =
             test_sequence_campaign_deterministic;
           Alcotest.test_case "case metrics merge across jobs" `Quick
             test_campaign_metrics_merge;
+          Alcotest.test_case "invariant runs capped" `Quick test_invariants_capped;
         ] );
     ]

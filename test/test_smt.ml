@@ -447,6 +447,128 @@ let simplify_props =
            Bits.equal (Bits.logand m actual) (Bits.logand m v)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Scopes own what they add: pops, captured models, clausification *)
+
+(* width-1 terms over the differential's 8-bit terms: comparisons,
+   equalities against constants, single bits and constants as atoms,
+   joined by the boolean connectives *)
+let gen_bool =
+  let open QCheck.Gen in
+  let atom =
+    oneof
+      [
+        map2 Expr.eq gen_term gen_term;
+        map2 Expr.neq gen_term gen_term;
+        map2 Expr.ult gen_term gen_term;
+        map2 Expr.slt gen_term gen_term;
+        map2 (fun t n -> Expr.eq t (Expr.of_int ctx ~width:8 n)) gen_term (int_range 0 255);
+        map2
+          (fun t n -> Expr.eq (Expr.slice t ~hi:5 ~lo:2) (Expr.of_int ctx ~width:4 n))
+          gen_term (int_range 0 15);
+        map2 (fun t i -> Expr.slice t ~hi:i ~lo:i) gen_term (int_range 0 7);
+        oneofl [ Expr.tru ctx; Expr.fls ctx ];
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then atom
+      else
+        let sub = self (depth - 1) in
+        oneof
+          [
+            atom;
+            map2 Expr.band sub sub;
+            map2 Expr.bor sub sub;
+            map Expr.bnot sub;
+            map2 Expr.eq sub sub;
+            map3 Expr.ite sub sub sub;
+          ])
+    3
+
+let arb_bool_env =
+  QCheck.make
+    ~print:(fun (e, (x, y, z)) ->
+      Printf.sprintf "%s under x=%s y=%s z=%s" (Expr.to_string e) (Bits.to_string x)
+        (Bits.to_string y) (Bits.to_string z))
+    QCheck.Gen.(
+      pair gen_bool
+        (triple
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)
+           (int_range 0 255 >|= fun n -> Bits.of_int ~width:8 n)))
+
+(* the clauses of a term, guarded by [g], and its literal each decide
+   the term the way evaluation does, with the inputs fixed by
+   assumptions *)
+let clauses_agree_with_lit (e, env3) =
+  let sat = Sat.create () in
+  let b = Smt.Blast.create ctx sat in
+  let g = Sat.new_var sat in
+  List.iter (fun c -> Sat.add_clause sat (Sat.neg g :: c)) (Smt.Blast.clauses b e);
+  let l = Smt.Blast.lit b e in
+  let xv, yv, zv = env3 in
+  let inputs =
+    List.concat_map
+      (fun (name, v) ->
+        let ls = Smt.Blast.bits b (Expr.var ctx name 8) in
+        List.init 8 (fun i -> if Bits.get v i then ls.(i) else Sat.negate ls.(i)))
+      [ ("gx", xv); ("gy", yv); ("gz", zv) ]
+  in
+  let expected = Bits.is_ones (Expr.eval (env_of env3) e) in
+  Sat.solve ~assumptions:(Sat.pos g :: inputs) sat = expected
+  && Sat.solve ~assumptions:(l :: inputs) sat = expected
+
+let scope_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"Blast.clauses agrees with Blast.lit" arb_bool_env
+         clauses_agree_with_lit);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"push; assert_; pop restores size" arb_bool_env
+         (fun (e, _) ->
+           let s = Solver.create ctx in
+           Solver.assert_ s (Expr.ult (Expr.var ctx "gx" 8) (Expr.var ctx "gy" 8));
+           let before = Solver.size s in
+           Solver.push s;
+           Solver.assert_ s e;
+           let inner = Solver.size s in
+           Solver.push s;
+           Solver.assert_ s (Expr.bnot e);
+           ignore (Solver.check s);
+           Solver.pop s;
+           let back_inner = Solver.size s in
+           ignore (Solver.check s);
+           Solver.pop s;
+           back_inner = inner && Solver.size s = before));
+  ]
+
+(* a model captured under a scope keeps its values after the pop, when
+   the variable numbers it read are handed to other terms *)
+let test_captured_model_after_reuse () =
+  let s = Solver.create ctx in
+  let x = fresh 16 and y = fresh 16 in
+  Solver.push s;
+  Solver.assert_ s (Expr.eq x (Expr.of_int ctx ~width:16 0x1234));
+  Alcotest.(check bool) "sat" true (Solver.check s = Solver.Sat);
+  let m = Option.get (Solver.capture_model s) in
+  let size = Solver.size s in
+  Solver.pop s;
+  Alcotest.(check bool) "a pop drops the model" true (Solver.capture_model s = None);
+  Solver.push s;
+  Solver.assert_ s (Expr.eq y (Expr.of_int ctx ~width:16 0xbeef));
+  Alcotest.(check int) "y reuses x's variable numbers" size (Solver.size s);
+  Alcotest.(check bool) "sat again" true (Solver.check s = Solver.Sat);
+  Alcotest.(check check_bits) "x keeps its captured value" (Bits.of_int ~width:16 0x1234)
+    (Solver.frozen_eval m x);
+  Alcotest.(check check_bits) "y was not blasted at capture" (Bits.zero 16)
+    (Solver.frozen_eval m y);
+  Alcotest.(check check_bits) "the live model reads y" (Bits.of_int ~width:16 0xbeef)
+    (Solver.model_var s (Expr.var_of y));
+  Alcotest.(check check_bits) "and no longer x" (Bits.zero 16)
+    (Solver.model_var s (Expr.var_of x));
+  Solver.pop s
+
 let () =
   Alcotest.run "smt"
     [
@@ -478,7 +600,10 @@ let () =
           Alcotest.test_case "wide model readout" `Quick test_solver_wide_model;
           Alcotest.test_case "suggestion fallback" `Quick
             test_solver_suggestion_fallback;
+          Alcotest.test_case "captured model after reuse" `Quick
+            test_captured_model_after_reuse;
         ] );
+      ("scopes", scope_props);
       ( "simplify",
         Alcotest.
           [
