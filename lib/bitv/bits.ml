@@ -1,6 +1,16 @@
 (* Arbitrary-width bitvectors stored LSB-first in a byte buffer.
    Invariant: bits at positions >= width are zero (canonical form), so
-   structural equality of (width, data) is value equality. *)
+   structural equality of (width, data) is value equality.
+
+   Byte-level layout: bit [i] is bit [i mod 8] of byte [i / 8].  The
+   operations that move bits (concat, slice, zext, the shifts) build
+   their result a byte at a time: output byte [j] is the 8 source bits
+   that start at some bit offset ({!byte_at}), one or two source bytes
+   combined with a shift, with out-of-range bits reading as zero; a
+   width that is not a multiple of 8 is then masked back to canonical
+   form ({!canon}).  [of_int], [to_int], [to_hex] and [popcount] read
+   or write whole bytes too.  [init], [get], [sext] and the parsers of
+   bit strings work bit by bit. *)
 
 type t = { width : int; data : bytes }
 
@@ -18,6 +28,32 @@ let canon v =
     Bytes.set v.data (n - 1) (Char.chr (last land mask))
   end;
   v
+
+let byte v i = Char.code (Bytes.unsafe_get v.data i)
+
+(* the 8 bits of [v] that start at bit [p] (which may be negative or
+   past the width): bits outside [0, width) read as zero *)
+let byte_at v p =
+  let n = Bytes.length v.data in
+  if p >= 0 then begin
+    let q = p lsr 3 and r = p land 7 in
+    if q >= n then 0
+    else if r = 0 then byte v q
+    else
+      let lo = byte v q lsr r in
+      if q + 1 < n then (lo lor (byte v (q + 1) lsl (8 - r))) land 0xff else lo
+  end
+  else if p <= -8 || n = 0 then 0
+  else (byte v 0 lsl -p) land 0xff
+
+(* a canonical width-[w] vector whose byte [j] is [f j] *)
+let of_bytes_fn w f =
+  let n = nbytes w in
+  let data = Bytes.create n in
+  for j = 0 to n - 1 do
+    Bytes.unsafe_set data j (Char.unsafe_chr (f j))
+  done;
+  canon { width = w; data }
 
 let make w = { width = w; data = Bytes.make (nbytes w) '\000' }
 
@@ -51,7 +87,10 @@ let init w f =
 
 let of_int ~width:w n =
   if w < 0 then invalid_arg "Bits.of_int: negative width";
-  init w (fun i -> if i < 63 then (n asr i) land 1 = 1 else n < 0)
+  (* [asr] keeps the sign in the bits above 62; from byte 8 on every
+     bit is the sign *)
+  let fill = if n < 0 then 0xff else 0 in
+  of_bytes_fn w (fun j -> if j < 8 then (n asr (8 * j)) land 0xff else fill)
 
 let of_bool_list bs =
   let n = List.length bs in
@@ -105,13 +144,10 @@ let of_hex ~width:w s =
 
 let to_hex v =
   let ndigits = if v.width = 0 then 0 else (v.width + 3) / 4 in
+  (* a digit is a nibble of one byte; bits past the width are zero *)
   String.init ndigits (fun i ->
       let pos = 4 * (ndigits - 1 - i) in
-      let d = ref 0 in
-      for b = 0 to 3 do
-        if pos + b < v.width && get v (pos + b) then d := !d lor (1 lsl b)
-      done;
-      "0123456789ABCDEF".[!d])
+      "0123456789ABCDEF".[(byte v (pos lsr 3) lsr (pos land 7)) land 0xf])
 
 let random st w =
   let v = make w in
@@ -120,45 +156,69 @@ let random st w =
   done;
   canon v
 
+(* the low [min width 62] bits, from at most the first 8 bytes *)
 let to_int v =
-  let n = min v.width 62 in
   let r = ref 0 in
-  for i = n - 1 downto 0 do
-    r := (!r lsl 1) lor if get v i then 1 else 0
+  for j = min (Bytes.length v.data) 8 - 1 downto 0 do
+    r := (!r lsl 8) lor byte v j
   done;
-  !r
+  if v.width > 62 then !r land ((1 lsl 62) - 1) else !r
 
 let is_zero v = Bytes.for_all (fun c -> c = '\000') v.data
 
+(* no bit at or above 62 is set *)
 let to_int_checked v =
-  let fits =
-    let rec hi i = i >= v.width || ((not (get v i)) && hi (i + 1)) in
-    hi 62
-  in
-  if fits then Some (to_int v) else None
+  let n = Bytes.length v.data in
+  let rec clear j = j >= n || (byte v j = 0 && clear (j + 1)) in
+  if (n < 8 || byte v 7 land 0xc0 = 0) && clear 8 then Some (to_int v) else None
+
+let popcount_byte =
+  let t = Array.make 256 0 in
+  for i = 1 to 255 do
+    t.(i) <- t.(i lsr 1) + (i land 1)
+  done;
+  t
 
 let popcount v =
   let c = ref 0 in
-  for i = 0 to v.width - 1 do
-    if get v i then incr c
+  for j = 0 to Bytes.length v.data - 1 do
+    c := !c + Array.unsafe_get popcount_byte (byte v j)
   done;
   !c
 
 let is_ones v = popcount v = v.width
 let msb v = v.width > 0 && get v (v.width - 1)
 
+(* [lo] fills the low bytes; [hi] is ORed in from bit [lo.width],
+   into bytes where [lo]'s canonical high bits are zero *)
 let concat hi lo =
   let w = hi.width + lo.width in
-  init w (fun i -> if i < lo.width then get lo i else get hi (i - lo.width))
+  let data = Bytes.make (nbytes w) '\000' in
+  Bytes.blit lo.data 0 data 0 (Bytes.length lo.data);
+  let q = lo.width lsr 3 and r = lo.width land 7 in
+  let n = Bytes.length data in
+  for j = 0 to Bytes.length hi.data - 1 do
+    let b = byte hi j in
+    if r = 0 then Bytes.unsafe_set data (q + j) (Char.unsafe_chr b)
+    else begin
+      let k = q + j in
+      Bytes.unsafe_set data k
+        (Char.unsafe_chr (Char.code (Bytes.unsafe_get data k) lor ((b lsl r) land 0xff)));
+      if k + 1 < n then Bytes.unsafe_set data (k + 1) (Char.unsafe_chr (b lsr (8 - r)))
+    end
+  done;
+  { width = w; data }
 
 let slice v ~hi ~lo =
   if lo < 0 || hi < lo || hi >= v.width then
     invalid_arg "Bits.slice: bounds out of range";
-  init (hi - lo + 1) (fun i -> get v (lo + i))
+  of_bytes_fn (hi - lo + 1) (fun j -> byte_at v (lo + (8 * j)))
 
 let zext v w =
   if w < 0 then invalid_arg "Bits.zext: negative width";
-  init w (fun i -> i < v.width && get v i)
+  let data = Bytes.make (nbytes w) '\000' in
+  Bytes.blit v.data 0 data 0 (min (Bytes.length v.data) (Bytes.length data));
+  canon { width = w; data }
 
 let sext v w =
   if w < 0 then invalid_arg "Bits.sext: negative width";
@@ -258,6 +318,9 @@ let sle a b = not (slt b a)
 
 let equal a b = a.width = b.width && Bytes.equal a.data b.data
 
+(* structural, so equal vectors hash alike *)
+let hash (v : t) = Hashtbl.hash v
+
 let compare a b =
   if a.width <> b.width then Stdlib.compare a.width b.width
   else
@@ -271,15 +334,17 @@ let compare a b =
 
 let shift_left a k =
   if k < 0 then invalid_arg "Bits.shift_left: negative amount";
-  init a.width (fun i -> i >= k && get a (i - k))
+  if k >= a.width then zero a.width else of_bytes_fn a.width (fun j -> byte_at a ((8 * j) - k))
 
 let shift_right a k =
   if k < 0 then invalid_arg "Bits.shift_right: negative amount";
-  init a.width (fun i -> i + k < a.width && get a (i + k))
+  if k >= a.width then zero a.width else of_bytes_fn a.width (fun j -> byte_at a ((8 * j) + k))
 
+(* a negative value shifts as the complement of its complement's
+   logical shift, which fills the top with ones *)
 let shift_right_arith a k =
   if k < 0 then invalid_arg "Bits.shift_right_arith: negative amount";
-  init a.width (fun i -> if i + k < a.width then get a (i + k) else msb a)
+  if msb a then lognot (shift_right (lognot a) k) else shift_right a k
 
 let udiv a b =
   check_same_width "udiv" a b;

@@ -109,6 +109,10 @@ val shift_right_arith : t -> int -> t
 (** {1 Comparisons} *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash consistent with {!equal}: equal vectors hash alike. *)
+
 val compare : t -> t -> int
 (** Total order: by width, then unsigned value. *)
 

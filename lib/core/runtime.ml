@@ -81,6 +81,11 @@ and branch = { br_cond : Expr.t option; br_state : state; br_label : string }
 
 and frame = {
   fr_scopes : string list;  (** env prefixes to search, innermost first *)
+  fr_params : (string * (string * Ast.typ)) list;
+      (** the block's [inout] and [out] parameters: name -> (the
+          caller's storage path, declared type).  They are bound by
+          reference and searched after [fr_scopes], so action
+          parameters and block locals shadow them. *)
   fr_ctrl : Ast.control_decl option;  (** for action/table resolution *)
   fr_parser : Ast.parser_decl option;
 }
@@ -90,8 +95,10 @@ and work =
   | WParserState of frame * string
   | WOp of string * (ctx -> state -> branch list)
       (** target glue / generic continuation (§5.1.2) *)
-  | WExitFrame of exit_kind * string * (ctx -> state -> state)
-      (** copy-out closure run when a frame is left *)
+  | WExitFrame of exit_kind * string
+      (** marks where a block or action ends: [return], [exit] and
+          parser reject drop work up to it.  Leaving it does nothing,
+          since parameters are bound by reference ({!frame}). *)
 
 and exit_kind = KAction | KControl | KParserFrame
 
@@ -165,6 +172,9 @@ and state = {
   seq_done : pkt_record list;  (** archived packets, newest first *)
   trace : string list;  (** newest first *)
 }
+
+(* the frame of target glue that runs outside any block *)
+let no_frame = { fr_scopes = []; fr_params = []; fr_ctrl = None; fr_parser = None }
 
 (* The term context of a state, recovered from an always-present term
    (for helpers that do not receive the run context). *)
@@ -248,7 +258,7 @@ let make_ctx ~opts ~obs ~extern ~on_reject ~next_packet (prog : Ast.program) ~ns
 let pop_to_reject err st =
   let rec go = function
     | [] -> []
-    | WExitFrame (KParserFrame, _, _) :: _ as w -> w
+    | WExitFrame (KParserFrame, _) :: _ as w -> w
     | _ :: rest -> go rest
   in
   { st with work = go st.work; trace = ("parser reject: " ^ err) :: st.trace }
@@ -345,10 +355,11 @@ and leaves_fields ctx hname path =
       List.concat_map (fun f -> leaves ctx f.Ast.f_typ (path ^ "." ^ f.Ast.f_name)) fs
   | None -> fail "leaves_fields: unknown header %s" hname
 
-(* Initialize storage for a fresh variable of type [t].  [init]
-   chooses leaf contents (e.g. taint for uninitialized data, zero for
-   targets that zero-initialize). *)
-let declare ctx ?(valid = false) ~init (t : Ast.typ) path st =
+(* Fill every leaf of a value of type [t] at [path]: [init] chooses
+   leaf contents (e.g. taint for uninitialized data, zero for targets
+   that zero-initialize), headers get validity [valid], stack cursors
+   and varbit lengths start at zero. *)
+let fill ctx ?(valid = false) ~init (t : Ast.typ) path st =
   let env =
     List.fold_left
       (fun env (p, leaf) ->
@@ -359,7 +370,12 @@ let declare ctx ?(valid = false) ~init (t : Ast.typ) path st =
         | LfVarbitLen -> Env.add (p ^ ".$vblen") (Expr.zero ctx.ectx 32) env)
       st.env (leaves ctx t path)
   in
-  { st with env; vartypes = Env.add path t st.vartypes }
+  { st with env }
+
+(* Initialize storage for a fresh variable of type [t] (see {!fill}). *)
+let declare ctx ?valid ~init (t : Ast.typ) path st =
+  let st = fill ctx ?valid ~init t path st in
+  { st with vartypes = Env.add path t st.vartypes }
 
 let init_taint ctx _ w = Expr.fresh_taint ctx.ectx w
 let init_zero ctx _ w = Expr.zero ctx.ectx w
@@ -401,11 +417,12 @@ let write_leaf path v st = { st with env = Env.add path v st.env }
 (* ------------------------------------------------------------------ *)
 (* Name resolution *)
 
-(* Resolve a bare variable name against a frame's scope chain;
-   returns the full env path and declared type. *)
+(* Resolve a bare variable name against a frame's scope chain, then
+   its by-reference parameters; returns the full env path and declared
+   type. *)
 let resolve_var st (fr : frame) name : (string * Ast.typ) option =
   let rec go = function
-    | [] -> None
+    | [] -> List.assoc_opt name fr.fr_params
     | scope :: rest -> (
         let key = scope ^ "." ^ name in
         match Env.find_opt key st.vartypes with
@@ -661,7 +678,7 @@ let push_stmts fr stmts st = push_work (List.map (fun s -> WStmt (fr, s)) stmts)
 let pop_to_exit kinds st =
   let rec go = function
     | [] -> []
-    | WExitFrame (k, _, _) :: _ as w when List.mem k kinds -> w
+    | WExitFrame (k, _) :: _ as w when List.mem k kinds -> w
     | _ :: rest -> go rest
   in
   { st with work = go st.work }

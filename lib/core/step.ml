@@ -18,7 +18,6 @@ open Runtime
 type binding =
   | Data of string  (** bind the parameter to this pipeline-state path *)
   | Packet  (** packet_in / packet_out parameter *)
-  | Fresh  (** uninitialized local binding (taint) *)
 
 let fresh_prefix ctx name = fresh_name ctx ("$f_" ^ name)
 
@@ -77,59 +76,47 @@ let init_locals ctx prefix fr (locals : Ast.local_decl list) st =
       | _ -> st)
     st locals
 
+(* The calling convention (DESIGN.md, "Whole-program semantics").
+   [inout] and [out] parameters are bound by reference to the caller's
+   path; an [out] parameter first resets the caller's leaves to
+   uninitialized, with headers invalid.  [in] and directionless
+   parameters get a private copy under [prefix], because the front end
+   does not reject writes to them.  Returns the by-reference table of
+   the block's frame. *)
 let bind_params ctx prefix (params : Ast.param list) (bindings : binding list) st =
   List.fold_left2
-    (fun st (p : Ast.param) b ->
-      let dst = prefix ^ "." ^ p.par_name in
+    (fun (st, refs) (p : Ast.param) b ->
       match (b, p.par_dir) with
-      | Packet, _ -> st
-      | Fresh, _ -> declare ctx ~init:(init_uninit ctx) p.par_typ dst st
-      | Data src, (Ast.DirIn | Ast.DirInOut | Ast.DirNone) ->
-          let st = declare ctx ~init:(init_uninit ctx) p.par_typ dst st in
-          copy_tree ctx p.par_typ ~src ~dst st
-      | Data _, Ast.DirOut ->
-          (* out params start uninitialized; headers become invalid *)
-          declare ctx ~init:(init_uninit ctx) p.par_typ dst st)
-    st params bindings
-
-let copy_out ctx prefix (params : Ast.param list) (bindings : binding list) st =
-  List.fold_left2
-    (fun st (p : Ast.param) b ->
-      match (b, p.par_dir) with
-      | Data dst, (Ast.DirOut | Ast.DirInOut) ->
-          copy_tree ctx p.par_typ ~src:(prefix ^ "." ^ p.par_name) ~dst st
-      | _ -> st)
-    st params bindings
-
-let control_frame prefix (cd : Ast.control_decl) =
-  { fr_scopes = [ prefix ]; fr_ctrl = Some cd; fr_parser = None }
-
-let parser_frame prefix (pd : Ast.parser_decl) =
-  { fr_scopes = [ prefix ]; fr_ctrl = None; fr_parser = Some pd }
+      | Packet, _ -> (st, refs)
+      | Data src, Ast.DirInOut -> (st, (p.par_name, (src, p.par_typ)) :: refs)
+      | Data src, Ast.DirOut ->
+          let st = fill ctx ~init:(init_uninit ctx) p.par_typ src st in
+          (st, (p.par_name, (src, p.par_typ)) :: refs)
+      | Data src, (Ast.DirIn | Ast.DirNone) ->
+          let dst = prefix ^ "." ^ p.par_name in
+          let st = copy_tree ctx p.par_typ ~src ~dst st in
+          ({ st with vartypes = Env.add dst p.par_typ st.vartypes }, refs))
+    (st, []) params bindings
 
 (** Queue execution of a control block bound to pipeline-state paths. *)
 let enter_control ctx (cd : Ast.control_decl) (bindings : binding list) st =
   let prefix = fresh_prefix ctx cd.c_name in
-  let st = bind_params ctx prefix cd.c_params bindings st in
+  let st, refs = bind_params ctx prefix cd.c_params bindings st in
   let st = declare_locals ctx prefix ~stable:cd.c_name cd.c_locals st in
-  let fr = control_frame prefix cd in
+  let fr = { fr_scopes = [ prefix ]; fr_params = refs; fr_ctrl = Some cd; fr_parser = None } in
   let st = init_locals ctx prefix fr cd.c_locals st in
-  let exit_ = WExitFrame (KControl, cd.c_name, fun ctx st -> copy_out ctx prefix cd.c_params bindings st) in
-  let st = push_work [ exit_ ] st in
+  let st = push_work [ WExitFrame (KControl, cd.c_name) ] st in
   let st = push_stmts fr cd.c_body st in
   note ("enter control " ^ cd.c_name) st
 
 (** Queue execution of a parser bound to pipeline-state paths. *)
 let enter_parser ctx (pd : Ast.parser_decl) (bindings : binding list) st =
   let prefix = fresh_prefix ctx pd.p_name in
-  let st = bind_params ctx prefix pd.p_params bindings st in
+  let st, refs = bind_params ctx prefix pd.p_params bindings st in
   let st = declare_locals ctx prefix ~stable:pd.p_name pd.p_locals st in
-  let fr = parser_frame prefix pd in
+  let fr = { fr_scopes = [ prefix ]; fr_params = refs; fr_ctrl = None; fr_parser = Some pd } in
   let st = init_locals ctx prefix fr pd.p_locals st in
-  let exit_ =
-    WExitFrame (KParserFrame, pd.p_name, fun ctx st -> copy_out ctx prefix pd.p_params bindings st)
-  in
-  let st = push_work [ exit_ ] st in
+  let st = push_work [ WExitFrame (KParserFrame, pd.p_name) ] st in
   let st = push_work [ WParserState (fr, "start") ] st in
   (* a fresh parser invocation restarts the loop-unrolling budget *)
   note ("enter parser " ^ pd.p_name) { st with state_visits = Env.empty }
@@ -144,7 +131,7 @@ let invoke_action ctx (fr : frame) (decl : Ast.action_decl) (args : (Ast.param *
       st args
   in
   let fr' = { fr with fr_scopes = prefix :: fr.fr_scopes } in
-  let st = push_work [ WExitFrame (KAction, decl.act_name, fun _ st -> st) ] st in
+  let st = push_work [ WExitFrame (KAction, decl.act_name) ] st in
   push_stmts fr' decl.act_body st
 
 (* ------------------------------------------------------------------ *)
@@ -822,6 +809,6 @@ let step ctx (st : state) : branch list option =
         | WStmt (fr, s) -> exec_stmt ctx fr st s
         | WParserState (fr, name) -> exec_parser_state ctx fr st name
         | WOp (_, f) -> f ctx st
-        | WExitFrame (_, _, f) -> continue_ (f ctx st)
+        | WExitFrame _ -> continue_ st
       in
       Some branches

@@ -111,7 +111,7 @@ module Node_key = struct
   let hash n =
     let h2 k a b = (k * 1000003) + (child_tag a * 31) + child_tag b in
     match n with
-    | Const b -> Hashtbl.hash (0, Bits.to_hex b, Bits.width b)
+    | Const b -> Bits.hash b
     | Var v -> Hashtbl.hash (1, v.vid)
     | Taint i -> Hashtbl.hash (2, i)
     | Not a -> Hashtbl.hash (3, a.tag)

@@ -37,9 +37,11 @@
    Scopes: every attached clause, problem or learnt, is logged, so
    [truncate] can take the solver back to an earlier (variable, clause)
    mark.  Retired clauses are marked in place and their watchers are
-   dropped lazily, by [propagate], before a retired clause is used; the
-   truncated variables' slots are reset so [new_var] reuses them.  See
-   DESIGN.md ("Solver internals") for why what survives stays sound. *)
+   swept from the surviving literals' lists at once, in list order, so
+   [propagate] only ever meets live clauses; the truncated variables'
+   slots are reset, and their watch lists emptied in place, so
+   [new_var] reuses both.  See DESIGN.md ("Solver internals") for why
+   what survives stays sound. *)
 
 (* a clause is its literal array; [propagate] reorders it in place so
    that the watched literals come first *)
@@ -391,8 +393,7 @@ let propagate s =
       s.qhead <- s.qhead + 1;
       s.propagations <- s.propagations + 1;
       (* binary layer: one value read per clause, no clause access on
-         the common satisfied path; a retired clause's watcher is
-         swapped out for the list's last one before it is used *)
+         the common satisfied path *)
       let bw = Array.unsafe_get s.bin_watches p in
       let i = ref 0 in
       while !i < bw.Wl.len do
@@ -401,14 +402,7 @@ let propagate s =
         if v = 1 then incr i
         else begin
           let c = Array.unsafe_get bw.Wl.cls !i in
-          if Array.unsafe_get c 0 = retired then begin
-            let last = bw.Wl.len - 1 in
-            Array.unsafe_set bw.Wl.cls !i (Array.unsafe_get bw.Wl.cls last);
-            Array.unsafe_set bw.Wl.lit !i (Array.unsafe_get bw.Wl.lit last);
-            Array.unsafe_set bw.Wl.cls last no_reason;
-            bw.Wl.len <- last
-          end
-          else if v = 2 then begin
+          if v = 2 then begin
             s.qhead <- Vec.len s.trail;
             raise (Conflict c)
           end
@@ -441,54 +435,51 @@ let propagate s =
         else begin
           let c = Array.unsafe_get ws.Wl.cls !i in
           incr i;
-          (* a retired clause loses its watcher: it is not copied back *)
-          if Array.unsafe_get c 0 <> retired then begin
-            (* make sure the false literal is c.(1) *)
-            let falsel = negate p in
-            if c.(0) = falsel then begin
-              c.(0) <- c.(1);
-              c.(1) <- falsel
-            end;
-            let first = c.(0) in
-            if first <> blocker && lit_val s first = 1 then begin
-              (* clause satisfied; keep watch, remember the witness *)
+          (* make sure the false literal is c.(1) *)
+          let falsel = negate p in
+          if c.(0) = falsel then begin
+            c.(0) <- c.(1);
+            c.(1) <- falsel
+          end;
+          let first = c.(0) in
+          if first <> blocker && lit_val s first = 1 then begin
+            (* clause satisfied; keep watch, remember the witness *)
+            Array.unsafe_set ws.Wl.cls !j c;
+            Array.unsafe_set ws.Wl.lit !j first;
+            incr j
+          end
+          else begin
+            (* look for a new literal to watch *)
+            let len = Array.length c in
+            let k = ref 2 in
+            let found = ref false in
+            while (not !found) && !k < len do
+              if lit_val s c.(!k) <> 2 then begin
+                c.(1) <- c.(!k);
+                c.(!k) <- falsel;
+                watch s (negate c.(1)) c first;
+                found := true
+              end;
+              incr k
+            done;
+            if not !found then begin
+              (* unit or conflicting *)
               Array.unsafe_set ws.Wl.cls !j c;
               Array.unsafe_set ws.Wl.lit !j first;
-              incr j
-            end
-            else begin
-              (* look for a new literal to watch *)
-              let len = Array.length c in
-              let k = ref 2 in
-              let found = ref false in
-              while (not !found) && !k < len do
-                if lit_val s c.(!k) <> 2 then begin
-                  c.(1) <- c.(!k);
-                  c.(!k) <- falsel;
-                  watch s (negate c.(1)) c first;
-                  found := true
-                end;
-                incr k
-              done;
-              if not !found then begin
-                (* unit or conflicting *)
-                Array.unsafe_set ws.Wl.cls !j c;
-                Array.unsafe_set ws.Wl.lit !j first;
-                incr j;
-                if lit_val s first = 2 then begin
-                  (* conflict: copy remaining watches and raise *)
-                  while !i < n do
-                    Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
-                    Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
-                    incr i;
-                    incr j
-                  done;
-                  ws.Wl.len <- !j;
-                  s.qhead <- Vec.len s.trail;
-                  raise (Conflict c)
-                end
-                else enqueue s first c
+              incr j;
+              if lit_val s first = 2 then begin
+                (* conflict: copy remaining watches and raise *)
+                while !i < n do
+                  Array.unsafe_set ws.Wl.cls !j (Array.unsafe_get ws.Wl.cls !i);
+                  Array.unsafe_set ws.Wl.lit !j (Array.unsafe_get ws.Wl.lit !i);
+                  incr i;
+                  incr j
+                done;
+                ws.Wl.len <- !j;
+                s.qhead <- Vec.len s.trail;
+                raise (Conflict c)
               end
+              else enqueue s first c
             end
           end
         end
@@ -802,20 +793,64 @@ let set_polarity s v b =
 
 let backtrack s = cancel_until s 0
 
+(* drops the watchers of retired clauses from a list, keeping the
+   order of the rest *)
+let sweep_list (w : Wl.t) =
+  let j = ref 0 in
+  for i = 0 to w.len - 1 do
+    let c = Array.unsafe_get w.cls i in
+    if Array.unsafe_get c 0 <> retired then begin
+      Array.unsafe_set w.cls !j c;
+      Array.unsafe_set w.lit !j (Array.unsafe_get w.lit i);
+      incr j
+    end
+  done;
+  Array.fill w.cls !j (w.len - !j) no_reason;
+  w.len <- !j
+
+(* a freed literal's list, emptied in place for the variable that
+   reuses the slot; the sentinel is never written *)
+let clear_list s (w : Wl.t) =
+  if w != s.empty then begin
+    Array.fill w.cls 0 w.len no_reason;
+    w.len <- 0
+  end
+
 (* Back to the mark [(nvars, nclauses)]: every clause attached after it
-   is retired in place (its watchers go when [propagate] next meets
-   them), and every variable from [nvars] on leaves the level-0 trail
-   and the decision heap, with its slots and watch lists reset for
-   [new_var] to reuse.  The surviving level-0 assignments stay: they
-   are implied by the surviving clauses (DESIGN.md, "Solver
-   internals"). *)
+   is retired, and its watchers leave the surviving literals' lists
+   (the lists of its first two literals' variables).  Every variable
+   from [nvars] on leaves the level-0 trail and the decision heap, with
+   its slots reset and its watch lists emptied in place for [new_var]
+   to reuse.  The surviving level-0 assignments stay: they are implied
+   by the surviving clauses (DESIGN.md, "Solver internals"). *)
 let truncate s ~nvars ~nclauses =
   cancel_until s 0;
+  (* the surviving variables whose lists hold a retired clause's
+     watcher, each once ([seen] is free outside conflict analysis) *)
+  let touched = ref [] in
+  let touch l =
+    let v = var_of l in
+    if v < nvars && not s.seen.(v) then begin
+      s.seen.(v) <- true;
+      touched := v :: !touched
+    end
+  in
   for i = nclauses to Vec.len s.clauses - 1 do
-    (Vec.get s.clauses i).(0) <- retired;
+    let c = Vec.get s.clauses i in
+    touch c.(0);
+    touch c.(1);
+    c.(0) <- retired;
     Vec.set s.clauses i no_reason
   done;
   Vec.shrink s.clauses nclauses;
+  List.iter
+    (fun v ->
+      s.seen.(v) <- false;
+      sweep_list s.watches.(pos v);
+      sweep_list s.watches.(neg v);
+      sweep_list s.bin_watches.(pos v);
+      sweep_list s.bin_watches.(neg v))
+    !touched;
   if nvars < s.nvars then begin
     let j = ref 0 in
     for i = 0 to Vec.len s.trail - 1 do
@@ -836,13 +871,17 @@ let truncate s ~nvars ~nclauses =
       s.polarity.(v) <- false;
       s.target.(v) <- 0;
       s.constrained.(v) <- false;
-      s.watches.(pos v) <- s.empty;
-      s.watches.(neg v) <- s.empty;
-      s.bin_watches.(pos v) <- s.empty;
-      s.bin_watches.(neg v) <- s.empty
+      clear_list s s.watches.(pos v);
+      clear_list s s.watches.(neg v);
+      clear_list s s.bin_watches.(pos v);
+      clear_list s s.bin_watches.(neg v)
     done;
     s.nvars <- nvars
   end
+
+let watchers s =
+  let count table = Array.fold_left (fun acc (w : Wl.t) -> acc + w.len) 0 table in
+  count s.watches + count s.bin_watches
 
 let snapshot s =
   let b = Bytes.create s.nvars in

@@ -77,6 +77,11 @@ val truncate : t -> nvars:int -> nclauses:int -> unit
     clauses guarded by a fresh literal, learnt clauses): the level-0
     assignments kept are then implied by the clauses kept. *)
 
+val watchers : t -> int
+(** The watchers held by both watch layers: two per attached clause
+    ({!nclauses}), once a {!truncate} has swept out the retired
+    ones. *)
+
 val snapshot : t -> Bytes.t
 (** Copy of the current assignment, one byte per variable: code 0
     unassigned, 1 true, 2 false.  The solver keeps no reference to

@@ -81,7 +81,7 @@ let extern : extern_hook =
 (* implicit deparser: emit every valid header of the header structure
    in declaration order (§6.1.3) *)
 let implicit_deparse ctx (htyp : Ast.typ) st : branch list =
-  let fr = { fr_scopes = [ "$pipe" ]; fr_ctrl = None; fr_parser = None } in
+  let fr = { no_frame with fr_scopes = [ "$pipe" ] } in
   match Step.emit_one ctx fr hdr_p htyp st with
   | branches -> branches
 
@@ -94,7 +94,7 @@ let finalize ctx st : branch list =
   else if Expr.is_false accept then continue_ dropped
   else
     Step.fork_cond ctx
-      { fr_scopes = []; fr_ctrl = None; fr_parser = None }
+      no_frame
       accept
       ~then_:("ebpf:pass", deliver)
       ~else_:("ebpf:drop", dropped)

@@ -429,8 +429,6 @@ and egress_ops (b : blocks) : work list =
     WOp ("tofino:final", fun ctx st -> finalize ctx st);
   ]
 
-and dummy_fr = { fr_scopes = []; fr_ctrl = None; fr_parser = None }
-
 (* Pad the generated frame to the 64-byte minimum.  A sealed input (a
    short-packet branch) cannot grow: such a frame is dropped by the
    device before processing. *)
@@ -462,7 +460,7 @@ and traffic_manager (b : blocks) ctx st : branch list =
             push_work (egress_ops b) st
           in
           match
-            Step.fork_cond ctx dummy_fr bypass
+            Step.fork_cond ctx no_frame bypass
               ~then_:("tm:bypass", { st with work = [] })
               ~else_:("tm:egress", to_egress)
           with
@@ -494,11 +492,11 @@ and traffic_manager (b : blocks) ctx st : branch list =
              genuinely symbolic port forks here *)
           let port = leaf st (ig_tm ^ ".ucast_egress_port") in
           let invalid = Expr.eq port (Expr.of_int ctx.ectx ~width:9 invalid_port) in
-          Step.fork_cond ctx dummy_fr invalid
+          Step.fork_cond ctx no_frame invalid
             ~then_:("tm:invalid-port", dropped "egress port never set" st)
             ~else_:("tm:fwd-port", push_work [ bypass_op ] st) )
   in
-  Step.fork_cond ctx dummy_fr drop
+  Step.fork_cond ctx no_frame drop
     ~then_:("tm:drop", dropped "drop_ctl" st)
     ~else_:("tm:fwd", push_work [ port_op ] st)
 
@@ -507,7 +505,7 @@ and finalize ctx st : branch list =
   let drop = Expr.neq (leaf st (eg_dprsr ^ ".drop_ctl")) (Expr.zero ctx.ectx 3) in
   let port = leaf st (eg_intr ^ ".egress_port") in
   match
-    Step.fork_cond ctx dummy_fr drop
+    Step.fork_cond ctx no_frame drop
       ~then_:
         ( "eg:drop",
           { (if st.sealed then st else pad_to_bytes ctx 64 st) with dropped = true } )

@@ -124,15 +124,23 @@ let blocks ctx : blocks =
 let sm_leaf st field = read_leaf st (sm_p ^ "." ^ field)
 let set_sm field v st = write_leaf (sm_p ^ "." ^ field) v st
 
-(* the standard-metadata parameter of the enclosing parser, if any *)
-let parser_sm_path (fr : frame) =
+(* An extern's write to standard metadata that bypasses the frame.  In
+   a block that takes standard metadata as an argument, copy-in/copy-out
+   hides such a write from the block and overwrites it at the block's
+   exit, so under binding by reference it is dropped there. *)
+let set_sm_from_extern (fr : frame) field v st =
+  if List.exists (fun (_, (path, _)) -> path = sm_p) fr.fr_params then st
+  else set_sm field v st
+
+(* the storage of the enclosing parser's standard-metadata parameter,
+   if any *)
+let parser_sm_path st (fr : frame) =
   match fr.fr_parser with
   | Some pd ->
       List.find_map
         (fun (p : Ast.param) ->
           match p.par_typ with
-          | Ast.TName "standard_metadata_t" ->
-              Some (List.hd (List.rev fr.fr_scopes) ^ "." ^ p.par_name)
+          | Ast.TName "standard_metadata_t" -> Option.map fst (resolve_var st fr p.par_name)
           | _ -> None)
         pd.p_params
   | None -> None
@@ -145,7 +153,7 @@ let on_reject : reject_hook =
  fun ctx fr err st ->
   let code = Expr.of_int ctx.ectx ~width:Typing.error_width (Typing.error_code ctx.tctx err) in
   let st =
-    match parser_sm_path fr with
+    match parser_sm_path st fr with
     | Some smp when Env.mem (smp ^ ".parser_error") st.env ->
         write_leaf (smp ^ ".parser_error") code st
     | _ -> st
@@ -179,7 +187,7 @@ let extern : extern_hook =
       let lv = Eval.lvalue_of ctx fr st smarg in
       RUnit (write_leaf (lv.lv_path ^ ".egress_spec") (Expr.of_int ctx.ectx ~width:9 drop_port) st)
   | "mark_to_drop", [] ->
-      RUnit (set_sm "egress_spec" (Expr.of_int ctx.ectx ~width:9 drop_port) st)
+      RUnit (set_sm_from_extern fr "egress_spec" (Expr.of_int ctx.ectx ~width:9 drop_port) st)
   | ("verify_checksum" | "verify_checksum_with_payload"), [ cond; data; given; algo ] ->
       let st, vcond = eval_st st cond in
       let st, vdata = eval_st st data in
@@ -194,7 +202,7 @@ let extern : extern_hook =
       let err = Expr.band vcond (Expr.neq r vgiven) in
       let st =
         if Env.mem (sm_p ^ ".checksum_error") st.env then
-          set_sm "checksum_error" err st
+          set_sm_from_extern fr "checksum_error" err st
         else st
       in
       RVal (st, err)
@@ -422,7 +430,7 @@ and traffic_manager ctx (b : blocks) st : branch list =
     if Expr.is_false (Expr.neq mg (Expr.zero ctx.ectx 16)) then
       (* mcast_grp is never written: unicast only *)
       Step.fork_cond ctx
-        { fr_scopes = []; fr_ctrl = None; fr_parser = None }
+        no_frame
         drop_cond
         ~then_:("tm:drop", dropped)
         ~else_:("tm:forward", forward)
@@ -437,7 +445,7 @@ and traffic_manager ctx (b : blocks) st : branch list =
                      (Expr.eq mg (Expr.zero ctx.ectx 16))
                      (Option.value br.br_cond ~default:(Expr.tru ctx.ectx))) })
           (Step.fork_cond ctx
-             { fr_scopes = []; fr_ctrl = None; fr_parser = None }
+             no_frame
              drop_cond
              ~then_:("tm:drop", dropped)
              ~else_:("tm:forward", forward))
@@ -496,7 +504,7 @@ and finalize (b : blocks) ctx st : branch list =
     else if Expr.is_false drop_cond then continue_ (deliver st)
     else
       Step.fork_cond ctx
-        { fr_scopes = []; fr_ctrl = None; fr_parser = None }
+        no_frame
         drop_cond
         ~then_:("egress-drop", { st with dropped = true })
         ~else_:("deliver", deliver st)

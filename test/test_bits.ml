@@ -109,7 +109,8 @@ let arb_pair =
     ~print:(fun (a, b) -> Bits.to_string a ^ ", " ^ Bits.to_string b)
     gen_pair_same_width
 
-let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:300 ~name arb f)
+let prop ?(count = 300) name arb f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
 let props =
   [
@@ -157,6 +158,187 @@ let props =
         Bits.ult a b = Bits.ult (Bits.zext a (Bits.width a + 7)) (Bits.zext b (Bits.width b + 7)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Byte-level operations against a bit-at-a-time reference
+
+   The references below build every result one bit at a time through
+   [Bits.init] and [Bits.get], as the operations once did; the
+   byte-level operations must agree with them on every width from 0 to
+   300 and at every bit offset within a byte. *)
+
+module Ref = struct
+  let get = Bits.get
+  let w = Bits.width
+
+  let concat hi lo =
+    Bits.init (w hi + w lo) (fun i -> if i < w lo then get lo i else get hi (i - w lo))
+
+  let slice v ~hi ~lo = Bits.init (hi - lo + 1) (fun i -> get v (lo + i))
+  let zext v n = Bits.init n (fun i -> i < w v && get v i)
+
+  let sext v n =
+    if w v = 0 then Bits.zero n else Bits.init n (fun i -> get v (if i < w v then i else w v - 1))
+
+  let of_int ~width n = Bits.init width (fun i -> if i < 63 then (n asr i) land 1 = 1 else n < 0)
+
+  let to_int v =
+    let r = ref 0 in
+    for i = min (w v) 62 - 1 downto 0 do
+      r := (!r lsl 1) lor if get v i then 1 else 0
+    done;
+    !r
+
+  let to_int_checked v =
+    let rec clear i = i >= w v || ((not (get v i)) && clear (i + 1)) in
+    if clear 62 then Some (to_int v) else None
+
+  let to_hex v =
+    let nd = if w v = 0 then 0 else (w v + 3) / 4 in
+    String.init nd (fun i ->
+        let pos = 4 * (nd - 1 - i) in
+        let d = ref 0 in
+        for b = 0 to 3 do
+          if pos + b < w v && get v (pos + b) then d := !d lor (1 lsl b)
+        done;
+        "0123456789ABCDEF".[!d])
+
+  let popcount v =
+    let c = ref 0 in
+    for i = 0 to w v - 1 do
+      if get v i then incr c
+    done;
+    !c
+
+  let is_ones v = popcount v = w v
+  let shift_left a k = Bits.init (w a) (fun i -> i >= k && get a (i - k))
+  let shift_right a k = Bits.init (w a) (fun i -> i + k < w a && get a (i + k))
+
+  let shift_right_arith a k =
+    Bits.init (w a) (fun i -> if i + k < w a then get a (i + k) else get a (w a - 1))
+end
+
+(* a width-[w] vector: all zeros, all ones, or uniform bits *)
+let gen_of_width w =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return (Bits.zero w));
+        (1, return (Bits.ones w));
+        (6, list_repeat w bool >|= Bits.of_bool_list);
+      ])
+
+let gen_wide = QCheck.Gen.(int_range 0 300 >>= gen_of_width)
+let arb_wide = QCheck.make ~print:Bits.to_string gen_wide
+
+let arb_wide_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Bits.to_string a ^ ", " ^ Bits.to_string b)
+    QCheck.Gen.(pair gen_wide gen_wide)
+
+(* a vector with an in-range bit position (or shift amount up to and
+   past the width) *)
+let arb_with_pos ~past =
+  QCheck.make
+    ~print:(fun (v, k) -> Printf.sprintf "%s, %d" (Bits.to_string v) k)
+    QCheck.Gen.(
+      gen_wide >>= fun v ->
+      int_range 0 (max 0 (Bits.width v - 1 + past)) >|= fun k -> (v, k))
+
+let arb_slice =
+  QCheck.make
+    ~print:(fun (v, hi, lo) -> Printf.sprintf "%s [%d:%d]" (Bits.to_string v) hi lo)
+    QCheck.Gen.(
+      int_range 1 300 >>= gen_of_width >>= fun v ->
+      int_range 0 (Bits.width v - 1) >>= fun lo ->
+      int_range lo (Bits.width v - 1) >|= fun hi -> (v, hi, lo))
+
+let arb_of_int =
+  QCheck.make
+    ~print:(fun (w, n) -> Printf.sprintf "width %d, %d" w n)
+    QCheck.Gen.(
+      pair (int_range 0 150)
+        (oneof
+           [
+             int;
+             int_range (-300) 300;
+             oneofl [ min_int; max_int; -1; 0; 1 lsl 62; (1 lsl 62) - 1; -(1 lsl 61) ];
+           ]))
+
+let eq_bits = Bits.equal
+let prop name arb f = prop ~count:1000 name arb f
+
+let byte_props =
+  [
+    prop "concat = reference" arb_wide_pair (fun (a, b) ->
+        eq_bits (Bits.concat a b) (Ref.concat a b));
+    prop "slice = reference" arb_slice (fun (v, hi, lo) ->
+        eq_bits (Bits.slice v ~hi ~lo) (Ref.slice v ~hi ~lo));
+    prop "zext = reference" (arb_with_pos ~past:80) (fun (v, n) ->
+        eq_bits (Bits.zext v n) (Ref.zext v n));
+    prop "sext = reference" (arb_with_pos ~past:80) (fun (v, n) ->
+        eq_bits (Bits.sext v n) (Ref.sext v n));
+    prop "of_int = reference" arb_of_int (fun (width, n) ->
+        eq_bits (Bits.of_int ~width n) (Ref.of_int ~width n));
+    prop "to_int = reference" arb_wide (fun v -> Bits.to_int v = Ref.to_int v);
+    prop "to_int_checked = reference" arb_wide (fun v ->
+        Bits.to_int_checked v = Ref.to_int_checked v);
+    prop "to_hex = reference" arb_wide (fun v -> Bits.to_hex v = Ref.to_hex v);
+    prop "popcount = reference" arb_wide (fun v -> Bits.popcount v = Ref.popcount v);
+    prop "is_ones = reference" arb_wide (fun v -> Bits.is_ones v = Ref.is_ones v);
+    prop "shift_left = reference" (arb_with_pos ~past:10) (fun (v, k) ->
+        eq_bits (Bits.shift_left v k) (Ref.shift_left v k));
+    prop "shift_right = reference" (arb_with_pos ~past:10) (fun (v, k) ->
+        eq_bits (Bits.shift_right v k) (Ref.shift_right v k));
+    prop "shift_right_arith = reference" (arb_with_pos ~past:10) (fun (v, k) ->
+        eq_bits (Bits.shift_right_arith v k) (Ref.shift_right_arith v k));
+    (* equal values built along different routes hash alike *)
+    prop "equal implies equal hash" arb_wide_pair (fun (a, b) ->
+        let routes =
+          [
+            Bits.of_bin (Bits.to_bin a);
+            Bits.of_hex ~width:(Bits.width a) (Bits.to_hex a);
+            Bits.zext (Bits.zext a (Bits.width a + 9)) (Bits.width a);
+            (if Bits.width a = 0 then a
+             else
+               Bits.slice (Bits.concat b (Bits.concat a b))
+                 ~hi:(Bits.width a + Bits.width b - 1) ~lo:(Bits.width b));
+          ]
+        in
+        List.for_all (fun a' -> Bits.equal a a' && Bits.hash a = Bits.hash a') routes
+        && ((not (Bits.equal a b)) || Bits.hash a = Bits.hash b));
+  ]
+
+(* every pair of widths up to 24, so each operation meets every bit
+   offset within a byte on both operands, with all-ones and
+   alternating contents *)
+let test_every_offset () =
+  let pattern w = Bits.init w (fun i -> i mod 3 <> 1) in
+  for wa = 0 to 24 do
+    List.iter
+      (fun a ->
+        Alcotest.(check string) "to_hex" (Ref.to_hex a) (Bits.to_hex a);
+        Alcotest.(check int) "popcount" (Ref.popcount a) (Bits.popcount a);
+        Alcotest.(check bool) "is_ones" (Ref.is_ones a) (Bits.is_ones a);
+        for wb = 0 to 24 do
+          let b = pattern wb in
+          Alcotest.(check check_bits) "concat" (Ref.concat a b) (Bits.concat a b);
+          Alcotest.(check check_bits) "zext" (Ref.zext a wb) (Bits.zext a wb);
+          Alcotest.(check check_bits) "sext" (Ref.sext a wb) (Bits.sext a wb)
+        done;
+        for k = 0 to wa + 1 do
+          Alcotest.(check check_bits) "shl" (Ref.shift_left a k) (Bits.shift_left a k);
+          Alcotest.(check check_bits) "lshr" (Ref.shift_right a k) (Bits.shift_right a k);
+          Alcotest.(check check_bits) "ashr" (Ref.shift_right_arith a k)
+            (Bits.shift_right_arith a k)
+        done;
+        for lo = 0 to wa - 1 do
+          for hi = lo to wa - 1 do
+            Alcotest.(check check_bits) "slice" (Ref.slice a ~hi ~lo) (Bits.slice a ~hi ~lo)
+          done
+        done)
+      [ Bits.ones wa; pattern wa ]
+  done
+
 let () =
   Alcotest.run "bits"
     [
@@ -174,4 +356,6 @@ let () =
           Alcotest.test_case "wide" `Quick test_wide;
         ] );
       ("props", props);
+      ( "byte-level",
+        Alcotest.test_case "every bit offset" `Quick test_every_offset :: byte_props );
     ]

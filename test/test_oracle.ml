@@ -432,6 +432,199 @@ let test_uninstantiable_rejected () =
   | Error e -> Alcotest.failf "wrong error: %s" (Oracle.prepare_error_message e)
   | Ok _ -> Alcotest.fail "an uninstantiable program was prepared"
 
+(* ------------------------------------------------------------------ *)
+(* The calling convention: [inout] and [out] block parameters are bound
+   by reference to the pipeline's storage, [in] parameters get a
+   private copy.  Each generated suite is also replayed on the concrete
+   model, whose blocks copy in and copy out. *)
+
+module Runtime = Testgen.Runtime
+
+(* the first completed path in DFS order that satisfies [want]; branch
+   conditions are not checked, since where storage lives does not
+   depend on which branches are feasible *)
+let rec first_path ctx st want =
+  match Testgen.Step.step ctx st with
+  | exception Runtime.Exec_error _ -> None
+  | None -> if want st then Some st else None
+  | Some branches ->
+      List.find_map (fun (b : Runtime.branch) -> first_path ctx b.br_state want) branches
+
+let path_through_deparser src deparser =
+  let ctx, st = Oracle.instantiate (Oracle.prepare v1model src) in
+  match first_path ctx st (fun st -> List.mem ("enter control " ^ deparser) st.Runtime.trace) with
+  | Some st -> (ctx, st)
+  | None -> Alcotest.fail "no path reaches the deparser"
+
+let replay_passes name src (run : Oracle.run) =
+  let tests = run.Oracle.result.Explore.tests in
+  let sim = Sim.Harness.prepare ~arch:"v1model" src in
+  let summary, results = Sim.Harness.run_suite sim tests in
+  List.iter
+    (fun ((t : Testspec.t), v) ->
+      match v with
+      | Sim.Harness.Pass -> ()
+      | Sim.Harness.Wrong_output msg | Sim.Harness.Crash msg ->
+          Alcotest.failf "%s: %s\n%s" name msg (Testspec.to_string t))
+    results;
+  Alcotest.(check int) (name ^ ": every test passes on the model") summary.Sim.Harness.total
+    summary.Sim.Harness.passed
+
+(* the output packets of a suite, as (port, data) *)
+let outputs run =
+  List.concat_map
+    (fun t ->
+      List.map
+        (fun (o : Testspec.packet) -> (Bits.to_int o.port, o.data))
+        (Testspec.outputs t))
+    run.Oracle.result.Explore.tests
+
+(* a block's [$f_<block>@n] prefix names its private storage: none may
+   hold an [inout] or [out] parameter *)
+let test_no_private_copies () =
+  let src = middleblock () in
+  let ctx, st = path_through_deparser src "D" in
+  let by_reference block param =
+    let params =
+      match Hashtbl.find_opt ctx.Runtime.controls block with
+      | Some cd -> cd.P4.Ast.c_params
+      | None -> (
+          match Hashtbl.find_opt ctx.Runtime.parsers block with
+          | Some pd -> pd.P4.Ast.p_params
+          | None -> [])
+    in
+    List.exists
+      (fun (p : P4.Ast.param) ->
+        p.par_name = param && (p.par_dir = P4.Ast.DirInOut || p.par_dir = P4.Ast.DirOut))
+      params
+  in
+  let private_params =
+    Runtime.Env.fold
+      (fun key _ acc ->
+        match String.index_opt key '@' with
+        | Some at when String.starts_with ~prefix:"$f_" key -> (
+            let block = String.sub key 3 (at - 3) in
+            match String.split_on_char '.' key with
+            | _ :: param :: _ when by_reference block param -> key :: acc
+            | _ -> acc)
+        | _ -> acc)
+      st.Runtime.env []
+  in
+  Alcotest.(check (list string)) "no private copy of an inout or out parameter" []
+    (List.rev private_params);
+  Alcotest.(check bool) "the ingress ran" true (List.mem "enter control I" st.Runtime.trace)
+
+let eth_program ~ingress ~deparser =
+  Printf.sprintf
+    {|
+header ethernet_t { bit<48> dst; bit<48> src; bit<16> etype; }
+struct headers_t { ethernet_t eth; }
+struct meta_t { bit<8> unused; }
+parser MyParser(packet_in pkt, out headers_t hdr, inout meta_t meta,
+                inout standard_metadata_t sm) {
+  state start { pkt.extract(hdr.eth); transition accept; }
+}
+control MyVerify(inout headers_t hdr, inout meta_t meta) { apply { } }
+control MyIngress(inout headers_t hdr, inout meta_t meta,
+                  inout standard_metadata_t sm) {
+%s
+}
+control MyEgress(inout headers_t hdr, inout meta_t meta,
+                 inout standard_metadata_t sm) { apply { } }
+control MyCompute(inout headers_t hdr, inout meta_t meta) { apply { } }
+control MyDeparser(packet_out pkt, in headers_t hdr) {
+  apply { %s }
+}
+V1Switch(MyParser(), MyVerify(), MyIngress(), MyEgress(), MyCompute(), MyDeparser()) main;
+|}
+    ingress deparser
+
+(* the 48 source-address bits of an output that starts with ethernet *)
+let src_field data =
+  let w = Bits.width data in
+  Bits.slice data ~hi:(w - 49) ~lo:(w - 96)
+
+let test_in_param_stays_private () =
+  let src =
+    eth_program ~ingress:"apply { sm.egress_spec = 1; }"
+      ~deparser:"hdr.eth.src = 0; pkt.emit(hdr.eth);"
+  in
+  let run = generate src in
+  let outs = List.filter (fun (_, d) -> Bits.width d >= 112) (outputs run) in
+  Alcotest.(check bool) "some test emits the header" true (outs <> []);
+  List.iter
+    (fun (_, d) -> Alcotest.(check bool) "emitted source is 0" true (Bits.is_zero (src_field d)))
+    outs;
+  replay_passes "in parameter" src run;
+  (* the write landed in the deparser's copy: the pipeline's header
+     still holds the extracted input bits *)
+  let _, st = path_through_deparser src "MyDeparser" in
+  match Runtime.Env.find_opt "$pipe.hdr.eth.src" st.Runtime.env with
+  | Some v ->
+      Alcotest.(check bool) "pipeline source is the input, not 0" true
+        (Smt.Expr.is_const v = None)
+  | None -> Alcotest.fail "no $pipe.hdr.eth.src"
+
+let test_inout_write_then_exit () =
+  let src =
+    eth_program
+      ~ingress:
+        {|  action stop() { hdr.eth.dst = 1; sm.egress_spec = 2; exit; }
+  apply {
+    if (hdr.eth.etype == 0x0800) { stop(); }
+    sm.egress_spec = 3;
+  }|}
+      ~deparser:"pkt.emit(hdr.eth);"
+  in
+  let run = generate src in
+  let stopped = List.filter (fun (port, _) -> port = 2) (outputs run) in
+  Alcotest.(check bool) "a test leaves by exit" true (stopped <> []);
+  List.iter
+    (fun (_, d) ->
+      let w = Bits.width d in
+      Alcotest.(check int) "the write before exit is emitted" 1
+        (Bits.to_int (Bits.slice d ~hi:(w - 1) ~lo:(w - 48))))
+    stopped;
+  Alcotest.(check bool) "other tests fall through" true
+    (List.exists (fun (port, _) -> port = 3) (outputs run));
+  replay_passes "inout write then exit" src run
+
+let test_parser_error_reaches_ingress () =
+  let src =
+    eth_program
+      ~ingress:
+        {|  apply {
+    if (sm.parser_error == error.PacketTooShort) { sm.egress_spec = 7; }
+    else { sm.egress_spec = 1; }
+  }|}
+      ~deparser:"pkt.emit(hdr.eth);"
+  in
+  let run = generate src in
+  let ports = List.map fst (outputs run) in
+  Alcotest.(check bool) "a short packet's error reaches the ingress" true (List.mem 7 ports);
+  Alcotest.(check bool) "a parsed packet sees no error" true (List.mem 1 ports);
+  replay_passes "parser error" src run
+
+(* verify_checksum writes standard metadata behind the frame: a block
+   that takes standard metadata as an argument never sees the flag,
+   as under copy-in/copy-out, where the write would also be overwritten
+   at the block's exit *)
+let test_extern_write_behind_frame () =
+  let src =
+    eth_program
+      ~ingress:
+        {|  apply {
+    verify_checksum(hdr.eth.isValid(), {hdr.eth.dst}, hdr.eth.etype, HashAlgorithm.csum16);
+    if (sm.checksum_error == 1) { sm.egress_spec = 5; } else { sm.egress_spec = 6; }
+  }|}
+      ~deparser:"pkt.emit(hdr.eth);"
+  in
+  let run = generate src in
+  let ports = List.map fst (outputs run) in
+  Alcotest.(check bool) "tests are generated" true (ports <> []);
+  Alcotest.(check (list int)) "the block never sees the flag" [] (List.filter (( <> ) 6) ports);
+  replay_passes "extern write behind the frame" src run
+
 let () =
   Alcotest.run "oracle"
     [
@@ -447,6 +640,16 @@ let () =
           Alcotest.test_case "interleaved prepares" `Quick test_interleaved_prepare;
           Alcotest.test_case "concurrent domains" `Quick test_concurrent_domains;
           Alcotest.test_case "batch jobs=1 = jobs=4" `Quick test_batch_determinism;
+        ] );
+      ( "calling convention",
+        [
+          Alcotest.test_case "no private copies of inout/out" `Quick test_no_private_copies;
+          Alcotest.test_case "in parameter stays private" `Quick test_in_param_stays_private;
+          Alcotest.test_case "inout write then exit" `Quick test_inout_write_then_exit;
+          Alcotest.test_case "parser error reaches ingress" `Quick
+            test_parser_error_reaches_ingress;
+          Alcotest.test_case "extern write behind the frame" `Quick
+            test_extern_write_behind_frame;
         ] );
       ( "front-end errors",
         [

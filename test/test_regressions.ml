@@ -131,12 +131,12 @@ let contract_programs () =
   let mb a = Progzoo.Generators.middleblock ~acl_stages:a () in
   let sw s = Progzoo.Generators.switch_tna ~stages:s () in
   [
-    ("middleblock_2acl_cap400", "v1model", mb 2, Some 400, "e42c611a462a58a62bf13ea6cb5d88d6");
-    ("middleblock_8acl_cap400", "v1model", mb 8, Some 400, "f12ea46b53fb20333b5304fb080be464");
-    ("middleblock_2acl_full", "v1model", mb 2, None, "b9e4bcf19aa9ced240a423c9cec7ce35");
-    ("switch4_tna_cap400", "tna", sw 4, Some 400, "7054663288fe9a6b84e8041120d1068a");
-    ("switch8_tna_cap400", "tna", sw 8, Some 400, "f63f1248acbb8b15a1473e7d24663403");
-    ("up4_full", "v1model", Progzoo.Generators.up4 (), None, "9552e8cb8de9e44ba2463832d8009c96");
+    ("middleblock_2acl_cap400", "v1model", mb 2, Some 400, "0815e17445560e48ed4df4de9439766a");
+    ("middleblock_8acl_cap400", "v1model", mb 8, Some 400, "235ae2df664cd36b3ca8a57270e22bc6");
+    ("middleblock_2acl_full", "v1model", mb 2, None, "b57c578868831cb3a7bd28e010bedb12");
+    ("switch4_tna_cap400", "tna", sw 4, Some 400, "10c34856ced470ecc823e1727a669586");
+    ("switch8_tna_cap400", "tna", sw 8, Some 400, "3d7ac4b83c2fb016d7964cbee4c16684");
+    ("up4_full", "v1model", Progzoo.Generators.up4 (), None, "a3c241483020574f982ce97c19a6106c");
   ]
 
 let test_suite_contract () =

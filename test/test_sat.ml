@@ -371,7 +371,8 @@ let test_budget () =
    sometimes with extra assumption literals; a pop truncates to the
    scope's mark.  Each verdict must match the reference on the clauses
    that survive, each model must satisfy them, and every truncation
-   must land exactly on its mark. *)
+   must land exactly on its mark, with two watchers per surviving
+   clause. *)
 type scope = {
   sc_vars : int;
   sc_clauses : int;
@@ -419,6 +420,10 @@ let test_scoped_truncation () =
           if Sat.nvars s <> sc.sc_vars || Sat.nclauses s <> sc.sc_clauses then
             Alcotest.failf "stream %d, step %d: truncated to %d vars / %d clauses, mark %d / %d"
               stream step (Sat.nvars s) (Sat.nclauses s) sc.sc_vars sc.sc_clauses;
+          (* no retired clause keeps a watcher *)
+          if Sat.watchers s <> 2 * Sat.nclauses s then
+            Alcotest.failf "stream %d, step %d: %d watchers for %d surviving clauses" stream step
+              (Sat.watchers s) (Sat.nclauses s);
           scopes := rest
       | (5 | 6), sc :: _ ->
           (* guarded clauses over old and, sometimes, fresh variables *)
