@@ -1,6 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§7), and runs the gate on what needs wall-clock
-   or a whole campaign.
+   paper's evaluation (§7), and runs the gate on what needs wall-clock.
 
      dune exec bench/main.exe              run every experiment
      dune exec bench/main.exe -- fig1      Fig. 1c  worked examples
@@ -10,9 +9,8 @@
      dune exec bench/main.exe -- table3    Tbl. 3   BMv2 bug details
      dune exec bench/main.exe -- table4a   Tbl. 4a  large-program statistics
      dune exec bench/main.exe -- table4b   Tbl. 4b  precondition effect
-     dune exec bench/main.exe -- gate      serve cold vs warm, corpus vs
-                                           random; exit 1 if any row
-                                           fails
+     dune exec bench/main.exe -- gate      serve cold vs warm; exit 1 if
+                                           any row fails
      dune exec bench/main.exe -- solver    the decision procedure's work
                                            on each gen_large program
 
@@ -260,10 +258,10 @@ let table4b () =
   Printf.printf "(paper: 237846/0%%, 178384/25%%, 135719/43%%, 101789/57%%; all 100%% coverage)\n"
 
 (* ------------------------------------------------------------------ *)
-(* gate: the checks that need wall-clock or a whole campaign, so they
-   cannot run under dune runtest.  Prints one row per check and
-   subject — check, subject, measured, bound, verdict — and exits 1 if
-   any row fails.  Writes no files. *)
+(* gate: the checks that need wall-clock, so they cannot run under
+   dune runtest.  Prints one row per check and subject — check,
+   subject, measured, bound, verdict — and exits 1 if any row fails.
+   Writes no files. *)
 
 let failed = ref false
 
@@ -346,46 +344,10 @@ let gate_serve () =
     [ 128; 400; 800 ];
   Serve.Server.stop server
 
-(* the coverage-guided corpus must reach strictly more oracle-code
-   coverage per 1000 cases than pure random generation at the same seed
-   and budget, and neither campaign may report a differential failure *)
-let gate_corpus () =
-  let module Campaign = Selftest.Campaign in
-  let base =
-    {
-      Campaign.default_config with
-      Campaign.cases = 60;
-      seed = 7;
-      jobs = 1;
-      reduce = false;
-    }
-  in
-  let dir = Filename.temp_file "p4tg-bench-corpus" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  in
-  let corpus, random =
-    Fun.protect
-      ~finally:(fun () -> rm_rf dir)
-      (fun () ->
-        let corpus = Campaign.run { base with Campaign.corpus_dir = Some dir } in
-        (corpus, Campaign.run base))
-  in
-  let failures = List.length (corpus.Campaign.s_failures @ random.Campaign.s_failures) in
-  let cc = Campaign.cov_per_1000 corpus and cr = Campaign.cov_per_1000 random in
-  row "corpus" "60 cases, seed 7"
-    (Printf.sprintf "cov1000 %.1f, failures %d" cc failures)
-    (Printf.sprintf "> random %.1f, failures 0" cr)
-    (cc > cr && failures = 0)
-
 let gate () =
-  header "Gate — serve cold vs warm, corpus vs random";
+  header "Gate — serve cold vs warm";
   Printf.printf "%-8s %-20s %-32s %-34s %s\n" "check" "subject" "measured" "bound" "verdict";
   gate_serve ();
-  gate_corpus ();
   if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)

@@ -299,7 +299,7 @@ let batch_t =
 (* selftest: the differential fuzzing campaign (§7/§8) *)
 
 let run_selftest cases jobs seed max_seconds out_dir archs max_tests fault no_reduce
-    sequences corpus_dir mutation_ratio mutation_score metrics trace verbose =
+    sequences mutation_score metrics trace verbose =
   setup_logs verbose;
   let fault =
     match fault with
@@ -340,8 +340,6 @@ let run_selftest cases jobs seed max_seconds out_dir archs max_tests fault no_re
             reduce = not no_reduce;
             sequences;
             out_dir;
-            corpus_dir;
-            mutation_ratio;
           }
         in
         let s = Selftest.Campaign.run cfg in
@@ -425,24 +423,6 @@ let selftest_sequences =
            from each case seed) instead of single-packet tests, exercising \
            stateful-extern continuity across packet boundaries")
 
-let selftest_corpus =
-  Arg.(
-    value & opt (some string) None
-    & info [ "corpus" ] ~docv:"DIR"
-        ~doc:
-          "Coverage-guided corpus mode: keep a persistent corpus of interesting \
-           programs under $(docv), derive most cases by mutating corpus members \
-           once it is warm, and checkpoint after every batch so a killed \
-           campaign resumes deterministically (same seed/config) from $(docv)")
-
-let selftest_mutation_ratio =
-  Arg.(
-    value & opt float 0.75
-    & info [ "mutation-ratio" ] ~docv:"R"
-        ~doc:
-          "Fraction of cases derived by mutation (vs. generated from scratch) \
-           once the corpus is warm; only meaningful with $(b,--corpus)")
-
 let selftest_mutation_score =
   Arg.(
     value & flag
@@ -455,8 +435,8 @@ let selftest_t =
   Term.(
     const run_selftest $ selftest_cases $ jobs $ selftest_seed $ selftest_max_seconds
     $ selftest_out $ selftest_archs $ selftest_max_tests $ selftest_fault
-    $ selftest_no_reduce $ selftest_sequences $ selftest_corpus
-    $ selftest_mutation_ratio $ selftest_mutation_score $ metrics $ trace $ verbose)
+    $ selftest_no_reduce $ selftest_sequences $ selftest_mutation_score $ metrics $ trace
+    $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* serve / client / fingerprint: the oracle as a long-running daemon *)

@@ -116,28 +116,6 @@ let stats_of_snapshot (d : Obs.Snapshot.t) : stats =
     solver_checks = i "solver.checks";
   }
 
-(* ------------------------------------------------------------------ *)
-(* Coverage export hook (corpus admission, ROADMAP item 3).
-
-   Projects a finished run onto a set of *cross-program* coverage
-   keys: one key per covered canonical statement shape ([shape] maps
-   this program's statement ids to canonical shape hashes, see
-   {!P4.Passes.statement_shapes}).  Branch coverage is subsumed:
-   a shape embeds its full branch context ("/if(cond).t" vs ".e"), so
-   covering a new if-arm is a new key.  Deliberately NOT per-test
-   path digests: those are near-unique per generated program (every
-   from-scratch program mints fresh keys forever), which would mask
-   grammar saturation and make the corpus-vs-random comparison
-   meaningless.  Shape keys saturate under the generator's bounded
-   grammar, so sustained novelty measures reaching oracle code the
-   generator alone cannot.  Derived only from [result.covered], which
-   is bit-identical across cache settings, so the key set is too. *)
-
-let coverage_keys ~(shape : int -> int) (r : result) : IntSet.t =
-  IntSet.fold
-    (fun sid acc -> IntSet.add (shape sid) acc)
-    r.covered IntSet.empty
-
 let coverage_pct r =
   if r.total_stmts = 0 then 100.0
   else 100.0 *. float_of_int (IntSet.cardinal r.covered) /. float_of_int r.total_stmts

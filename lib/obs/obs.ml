@@ -80,6 +80,9 @@ module Snapshot = struct
         else (na, subtract na va vb) :: diff ta tb
 
   let to_list s = s
+
+  (* a shared prefix keeps the names sorted *)
+  let prefix p s = List.map (fun (n, v) -> (p ^ n, v)) s
   let counters s = List.filter_map (function n, Count c -> Some (n, c) | _ -> None) s
 
   let get_int s name =

@@ -78,6 +78,11 @@ module Snapshot : sig
   val to_list : t -> (string * value) list
   (** Name-sorted. *)
 
+  val prefix : string -> t -> t
+  (** [prefix p s] renames every metric [n] of [s] to [p ^ n], so that
+      a sub-run's reading can be absorbed beside the main run's without
+      adding to its names. *)
+
   val counters : t -> (string * int) list
   (** Only the [Count] entries (deterministic across schedulings,
       unlike timers). *)

@@ -460,10 +460,12 @@ let number_statements (prog : program) : program * int =
    declaration names, and table/action/state identifiers are erased
    (member field names are kept: they come from a small shared header
    vocabulary and distinguish genuinely different behaviors).  The
-   self-validation corpus keys its cross-program coverage sets on
-   these shapes: a freshly renamed splice therefore contributes no
-   novelty by name alone, only by reaching constructs or construct
-   combinations no earlier case reached. *)
+   selftest campaign's coverage keys (cov1000) hash these shapes.
+   They do not saturate: a shape embeds its whole branch context, so
+   every random program mints new ones, and a campaign's distinct
+   count grows linearly with its cases (11,364 after 1,395 cases and
+   22,791 after 2,845 at seed 7).  cov1000 therefore measures how
+   varied the covered statements of a campaign's programs are. *)
 
 let rec expr_shape (e : expr) : string =
   match e with

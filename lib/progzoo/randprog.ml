@@ -588,127 +588,3 @@ let generate_for ~(arch : arch) ~seed : gen =
     match arch with V1model -> gen_v1model st fs | Ebpf -> gen_ebpf st fs | Tna -> gen_tna st fs
   in
   { src; features = List.sort compare fs.tags }
-
-(* ------------------------------------------------------------------ *)
-(* Feature tags recovered from an AST.
-
-   Corpus mutants have no generator provenance, so the campaign's
-   feature-combination admission rule recomputes tags by inspecting
-   the program.  The detectors mirror the [mark] sites above: a
-   freshly generated program round-trips to the same tag set (the test
-   suite asserts this), and a mutant that, say, grows a const-entry
-   table out of a donor picks up [table.const_entries] exactly as if
-   the generator had drawn it. *)
-
-let tags_of_program (prog : P4.Ast.program) : string list =
-  let open P4.Ast in
-  let tags = ref [] in
-  let mark t = if not (List.mem t !tags) then tags := t :: !tags in
-  let rec expr e =
-    match e with
-    | ECall (EVar "update_checksum", _) -> mark "extern.checksum"
-    | EMember (a, _) | EUnop (_, a) | ECast (_, a) -> expr a
-    | ESlice (a, _, _) -> expr a
-    | EIndex (a, i) -> expr a; expr i
-    | EBinop (_, a, b) | EMask (a, b) | ERange (a, b) -> expr a; expr b
-    | ETernary (a, b, c) -> expr a; expr b; expr c
-    | ECall (f, args) -> expr f; List.iter expr args
-    | EList es -> List.iter expr es
-    | EBool _ | EInt _ | EString _ | EVar _ | ETypeArg _ | EDontCare | EDefault -> ()
-  in
-  let rec stmt s =
-    match s with
-    | SAssign (_, l, r) ->
-        (match l with
-        | ESlice _ -> mark "stmt.slice_assign"
-        | EMember (_, "drop_ctl") -> mark "stmt.drop"
-        | _ -> ());
-        expr l; expr r
-    | SCall (_, f, args) ->
-        (match f with
-        | EVar "mark_to_drop" -> mark "stmt.drop"
-        | EVar "update_checksum" -> mark "extern.checksum"
-        | _ -> ());
-        expr f; List.iter expr args
-    | SIf (_, c, t, e) ->
-        mark "stmt.if";
-        (* the ebpf generator drops by flipping [pass] under a guard *)
-        List.iter
-          (function SAssign (_, EVar "pass", _) -> mark "stmt.drop" | _ -> ())
-          (t @ e);
-        expr c; List.iter stmt t; List.iter stmt e
-    | SSwitch (_, e, cases) ->
-        expr e;
-        List.iter (fun c -> Option.iter (List.iter stmt) c.sw_body) cases
-    | SBlock b -> List.iter stmt b
-    | SVarDecl (_, _, _, init) -> Option.iter expr init
-    | SConstDecl (_, _, _, e) -> expr e
-    | SReturn (_, e) -> Option.iter expr e
-    | SExit _ | SEmpty -> ()
-  in
-  let typ = function TStack _ -> mark "parser.header_stack" | _ -> () in
-  let local = function
-    | LVar (t, _, init) -> typ t; Option.iter expr init
-    | LConst (t, _, e) -> typ t; expr e
-    | LAction a ->
-        if a.act_params <> [] then mark "table.action_params";
-        List.iter stmt a.act_body
-    | LTable t ->
-        List.iter
-          (fun k ->
-            (match k.tk_kind with
-            | ("exact" | "ternary" | "lpm") as kind -> mark ("table." ^ kind)
-            | _ -> ());
-            expr k.tk_expr)
-          t.tbl_keys;
-        if t.tbl_entries <> [] then mark "table.const_entries";
-        List.iter
-          (fun e ->
-            List.iter expr e.te_keys;
-            List.iter expr e.te_args)
-          t.tbl_entries
-    | LInstantiation (t, args, _) ->
-        (match t with
-        | TSpec ("register", _) | TName "register" -> mark "extern.register_rw"
-        | _ -> ());
-        List.iter expr args
-  in
-  List.iter
-    (fun d ->
-      match d with
-      | DParser (pd, _) ->
-          List.iter local pd.p_locals;
-          List.iter
-            (fun s ->
-              List.iter stmt s.st_stmts;
-              match s.st_trans with
-              | TrSelect (ks, cases) ->
-                  mark "parser.select";
-                  List.iter expr ks;
-                  List.iter (fun c -> List.iter expr c.sel_keys) cases
-              | TrDirect _ -> ())
-            pd.p_states
-      | DControl (cd, _) ->
-          List.iter local cd.c_locals;
-          List.iter stmt cd.c_body
-      | DAction a ->
-          if a.act_params <> [] then mark "table.action_params";
-          List.iter stmt a.act_body
-      | DStruct (_, fields, _) | DHeader (_, fields, _) | DHeaderUnion (_, fields, _) ->
-          List.iter
-            (fun f ->
-              typ f.f_typ;
-              match f.f_name with
-              | "ipv4" -> mark "parser.ipv4"
-              | "extra" -> mark "parser.extra"
-              | _ -> ())
-            fields
-      | DInstantiation (tname, _, _, _) ->
-          (match tname with
-          | "V1Switch" -> mark "arch.v1model"
-          | "ebpfFilter" -> mark "arch.ebpf_model"
-          | "Switch" -> mark "arch.tna"
-          | _ -> ())
-      | _ -> ())
-    prog;
-  List.sort compare !tags

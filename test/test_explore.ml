@@ -282,6 +282,16 @@ let test_on_test_raises () =
   Alcotest.check_raises "callback exception propagates" Exit (fun () ->
       ignore (generate ~config Progzoo.Corpus.lpm_router))
 
+(* [Pool.iter] is how batch and the selftest campaign fan out: a worker
+   that raises must reach the caller only after every domain is joined
+   and the pool's tokens are back *)
+let test_pool_returns_tokens () =
+  let tokens0 = Atomic.get Explore.Pool.tokens in
+  (match Explore.Pool.iter 2 4 (fun _ i -> if i = 2 then failwith "index 2") with
+  | () -> Alcotest.fail "the worker's exception did not reach the caller"
+  | exception Failure msg -> Alcotest.(check string) "the worker's exception" "index 2" msg);
+  Alcotest.(check int) "pool tokens returned" tokens0 (Atomic.get Explore.Pool.tokens)
+
 let test_deadline_passed () =
   (* the deadline is checked before every step, so one already in the
      past stops the run before the first path closes *)
@@ -392,6 +402,8 @@ let () =
             test_deadline_passed;
           Alcotest.test_case "on_test exception aborts the run" `Quick
             test_on_test_raises;
+          Alcotest.test_case "failed worker returns pool tokens" `Quick
+            test_pool_returns_tokens;
         ] );
       ( "ledger",
         [

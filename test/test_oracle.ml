@@ -625,6 +625,69 @@ let test_extern_write_behind_frame () =
   Alcotest.(check (list int)) "the block never sees the flag" [] (List.filter (( <> ) 6) ports);
   replay_passes "extern write behind the frame" src run
 
+(* ------------------------------------------------------------------ *)
+(* Slice folding, end to end.  The oracle and the simulator share
+   [Passes.fold], so a folding fault passes every differential run;
+   here each test's expected header is computed with [Bits] from its
+   input packet. *)
+
+let test_folded_slices () =
+  let src =
+    eth_program
+      ~ingress:
+        {|  apply {
+    hdr.eth.src[15:8][3:0] = hdr.eth.dst[23:8][11:8];
+    hdr.eth.etype[7:0] = (hdr.eth.dst[15:0] ^ hdr.eth.src[31:16])[11:4];
+    hdr.eth.etype[15:8] = (hdr.eth.dst[47:40] ^ hdr.eth.src[47:40])[7:0];
+    hdr.eth.dst[3:0] = hdr.eth.src[47:16][31:8][7:4];
+    sm.egress_spec = 1;
+  }|}
+      ~deparser:"pkt.emit(hdr.eth);"
+  in
+  (* [v] with its bits [hi:lo] replaced by [x] *)
+  let splice v ~hi ~lo x =
+    let w = Bits.width v in
+    let top = if hi = w - 1 then x else Bits.concat (Bits.slice v ~hi:(w - 1) ~lo:(hi + 1)) x in
+    if lo = 0 then top else Bits.concat top (Bits.slice v ~hi:(lo - 1) ~lo:0)
+  in
+  let header data =
+    let w = Bits.width data in
+    Bits.slice data ~hi:(w - 1) ~lo:(w - 112)
+  in
+  let expected input =
+    let h = header input in
+    let dst = Bits.slice h ~hi:111 ~lo:64 and src = Bits.slice h ~hi:63 ~lo:16 in
+    let xor hi1 lo1 hi2 lo2 =
+      Bits.logxor (Bits.slice dst ~hi:hi1 ~lo:lo1) (Bits.slice src ~hi:hi2 ~lo:lo2)
+    in
+    Bits.concat
+      (splice dst ~hi:3 ~lo:0 (Bits.slice src ~hi:31 ~lo:28))
+      (Bits.concat
+         (splice src ~hi:11 ~lo:8 (Bits.slice dst ~hi:19 ~lo:16))
+         (Bits.concat (xor 47 40 47 40) (Bits.slice (xor 15 0 31 16) ~hi:11 ~lo:4)))
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun seed ->
+      let run = generate ~opts:{ Runtime.default_options with seed } src in
+      List.iter
+        (fun t ->
+          List.iter
+            (fun ((input : Testspec.packet), outputs) ->
+              match outputs with
+              | [ (o : Testspec.packet) ] when Bits.width input.data >= 112 ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "seed %d: header of input %s" seed (Bits.to_hex input.data))
+                    (Bits.to_hex (expected input.data))
+                    (Bits.to_hex (header o.data));
+                  incr checked
+              | _ -> ())
+            (Testspec.injects t))
+        run.Oracle.result.Explore.tests;
+      replay_passes "folded slices" src run)
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) (Printf.sprintf "%d parsed packets checked" !checked) true (!checked >= 4)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -651,6 +714,7 @@ let () =
           Alcotest.test_case "extern write behind the frame" `Quick
             test_extern_write_behind_frame;
         ] );
+      ("passes", [ Alcotest.test_case "folded slices" `Quick test_folded_slices ]);
       ( "front-end errors",
         [
           Alcotest.test_case "parse errors are positioned" `Quick

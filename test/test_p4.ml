@@ -268,10 +268,33 @@ control C(inout H h) {
   let cd =
     List.find_map (function Ast.DControl (cd, _) -> Some cd | _ -> None) prog |> Option.get
   in
-  match cd.c_body with
+  (match cd.c_body with
   | [ Ast.SBlock [ Ast.SAssign (_, _, EInt { iv = 1; _ }) ]; Ast.SAssign (_, _, EInt { iv = 10; _ }) ]
     -> ()
-  | b -> Alcotest.failf "fold failed: %s" (String.concat " " (List.map Pretty.stmt_to_string b))
+  | b -> Alcotest.failf "fold failed: %s" (String.concat " " (List.map Pretty.stmt_to_string b)));
+  (* slices: a nested slice reads the inner slice's bits from its low
+     end, and a slice of a compound expression becomes a shift and a
+     truncating cast.  The simulator folds with the same function, so a
+     campaign cannot see a fault here. *)
+  List.iter
+    (fun (stmt, want) ->
+      let src = Printf.sprintf "control C(inout H h) {\n  apply {\n    %s\n  }\n}\n" stmt in
+      let cd =
+        List.find_map
+          (function Ast.DControl (cd, _) -> Some cd | _ -> None)
+          (Passes.fold (Parser.parse_program src))
+        |> Option.get
+      in
+      Alcotest.(check string) stmt want
+        (String.concat " " (List.map Pretty.stmt_to_string cd.c_body)))
+    [
+      ("h.y = h.x[15:8][3:0];", "h.y = h.x[11:8];");
+      ("h.y = h.x[31:8][15:4][3:1];", "h.y = h.x[15:13];");
+      ("h.x[15:8][3:0] = h.y;", "h.x[11:8] = h.y;");
+      ("h.y = (h.a ^ h.b)[7:0];", "h.y = (bit<8>)(h.a ^ h.b);");
+      ("h.y = (h.a ^ h.b)[11:4];", "h.y = (bit<8>)((h.a ^ h.b) >> 4);");
+      ("h.y = 16w0xABCD[11:4];", "h.y = 8w188;");
+    ]
 
 let test_stack_elim () =
   let src =

@@ -12,12 +12,12 @@ module Mutscore = Selftest.Mutscore
 
 (* cwd is the test directory under [dune runtest], the repo root under
    [dune exec] *)
-let corpus_dir =
+let regressions_dir =
   let local = Filename.concat "corpus" "regressions" in
   if Sys.file_exists local then local else Filename.concat "test" local
 
 let regression_files () =
-  Sys.readdir corpus_dir |> Array.to_list
+  Sys.readdir regressions_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".p4")
   |> List.sort compare
 
@@ -58,7 +58,7 @@ let read_file path =
   s
 
 let revalidate file () =
-  let path = Filename.concat corpus_dir file in
+  let path = Filename.concat regressions_dir file in
   let arch = arch_of_file path in
   let seq_packets = seq_packets_of_file path in
   let src = read_file path in

@@ -360,6 +360,41 @@ let test_invariants_capped () =
   Alcotest.(check bool) (Printf.sprintf "%d paths over four runs <= 4 x 384" paths) true
     (paths > 0 && paths <= 4 * 384)
 
+(* a case's invariant re-runs report under "invariant.": the case's
+   [explore.*] is its main run alone, and [invariant.explore.*] is what
+   the invariants report on their own.  Case 0 runs all three. *)
+let test_invariant_prefix () =
+  let cfg = { Campaign.default_config with Campaign.reduce = false } in
+  let seed = Campaign.case_seed cfg.Campaign.seed 0 in
+  let src = (Randprog.generate_for ~arch:Randprog.V1model ~seed).Randprog.src in
+  let reg = Obs.Registry.create () in
+  let r, _ =
+    Campaign.eval_case cfg reg ~i:0 ~seed ~arch_name:"v1model" ~src ~features:[]
+  in
+  Alcotest.(check bool) "the case passes" true (r.Campaign.r_failure = None);
+  let d = Obs.Registry.snapshot reg in
+  let main =
+    let opts = { Testgen.Runtime.default_options with seed } in
+    let config =
+      { Campaign.campaign_explore with Testgen.Explore.max_tests = Some cfg.Campaign.max_tests }
+    in
+    (Testgen.Oracle.generate ~opts ~config Targets.V1model.target src).Testgen.Oracle.result
+      .Testgen.Explore.obs
+  in
+  let alone = Obs.Registry.create () in
+  ignore
+    (Campaign.check_invariants ~obs:alone ~arch:"v1model" ~seed ~max_tests:cfg.Campaign.max_tests
+       ~seq_packets:1 ~i:0 src);
+  let invariant_paths = Obs.Snapshot.get_int d "invariant.explore.paths" in
+  Alcotest.(check bool) (Printf.sprintf "invariant.explore.paths = %d > 0" invariant_paths) true
+    (invariant_paths > 0);
+  Alcotest.(check int) "invariant.explore.paths is the invariants' own"
+    (Obs.Snapshot.get_int (Obs.Registry.snapshot alone) "explore.paths")
+    invariant_paths;
+  Alcotest.(check int) "explore.paths is the main run's"
+    (Obs.Snapshot.get_int main "explore.paths")
+    (Obs.Snapshot.get_int d "explore.paths")
+
 let () =
   Alcotest.run "selftest"
     [
@@ -386,5 +421,7 @@ let () =
           Alcotest.test_case "case metrics merge across jobs" `Quick
             test_campaign_metrics_merge;
           Alcotest.test_case "invariant runs capped" `Quick test_invariants_capped;
+          Alcotest.test_case "invariant runs under their own prefix" `Quick
+            test_invariant_prefix;
         ] );
     ]
